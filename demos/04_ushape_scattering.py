@@ -10,13 +10,7 @@
 
 import numpy as np
 
-from elastodtn import (
-    adaptive_solve,
-    build_spectrum,
-    example2_config,
-    example2_mesh,
-    global_estimate,
-)
+from elastodtn import adaptive_solve, example2_config, example2_mesh
 from elastodtn.assembly import triangle_magnitudes
 from elastodtn.verify import fit_rate
 
@@ -35,8 +29,7 @@ fit = fit_rate(history, use="eps_h")
 print(f"\neps_h ~ DoF^s with s = {fit.slope:.3f} (optimal -0.5)")
 
 # --- where did the estimator put the effort? --------------------------------
-spectrum = build_spectrum(cfg)
-report = global_estimate(history.field, spectrum, u_inc_h1=history.u_inc_h1)
+report = history.report
 corners = np.array(
     [(-2.0, -0.7), (2.2, -0.7), (2.2, -0.1), (-1.4, -0.1),
      (-1.4, 0.1), (2.2, 0.1), (2.2, 0.7), (-2.0, 0.7)]

@@ -16,6 +16,17 @@ direct factorization of the combined system stays cheap.
 The assembled matrix is complex symmetric (A = A^T, not Hermitian):
 every volume term is symmetric, and the DtN block inherits symmetry from
 M_{-n} = M_n^T together with W_{-n} = conj(W_n).
+
+solve() exploits the symmetric pattern: SuperLU orders the columns by
+minimum degree on A^T + A and runs in symmetric mode, which builds its
+elimination tree from A^T + A as well.  At 131 k free DoF this stores
+20 M LU entries where the default COLAMD ordering stores 50 M.  The
+ordering needs the mode: alone it filled 22 M entries at 33 k free DoF,
+against 9.6 M for COLAMD and 4.2 M for both.  The matrix is indefinite
+(the -omega^2 mass term and the complex DtN block), so threshold partial
+pivoting keeps SuperLU's default threshold: without row interchanges the
+relative residual grew with the frequency, to 2.6e-12 at omega = 8 pi
+and 33 k free DoF, against 1e-13 with them.
 """
 
 from __future__ import annotations
@@ -173,13 +184,6 @@ def p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return areas, grads
 
 
-def gradient(field: SolutionField) -> np.ndarray:
-    """Per-triangle Jacobian G[t, a, b] = d u_a / d x_b (constant for P1)."""
-    _, grads = p1_geometry(field.mesh)
-    u_el = field.values[field.mesh.triangles]
-    return np.einsum("tia,tib->tab", u_el, grads)
-
-
 def _mass3(areas: np.ndarray) -> np.ndarray:
     # 3-point midpoint rule, exact for degree 2; equals (A/12)(1 + delta_ij)
     return (areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
@@ -285,7 +289,11 @@ def assemble(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum) -> Linear
 def solve(system: LinearSystem) -> SolutionField:
     """Direct sparse factorization; checks the relative residual."""
     try:
-        lu = spla.splu(system.matrix)
+        lu = spla.splu(
+            system.matrix,
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
         x = lu.solve(system.rhs)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystem(f"factorization failed: {exc}") from exc

@@ -42,6 +42,7 @@ class RunHistory:
     mesh: Mesh
     field: assembly.SolutionField
     u_inc_h1: float
+    report: estimator.EstimateReport  # indicators of the final field
 
     @property
     def final(self) -> RunRecord:
@@ -148,11 +149,11 @@ def adaptive_solve(
             raise IterationCapReached(
                 f"eps_h = {report.eps_h:.4g} > tolerance after "
                 f"{config.max_iters} iterations",
-                history=RunHistory(records, config, current, field, u_inc_h1),
+                history=RunHistory(records, config, current, field, u_inc_h1, report),
             )
         marked = mark(report.eta, config.theta_mark)
         current = refine(current, marked)
-    return RunHistory(records, config, current, field, u_inc_h1)
+    return RunHistory(records, config, current, field, u_inc_h1, report)
 
 
 def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> RunHistory:
@@ -168,7 +169,7 @@ def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> Run
         records.append(_record(it, field, report, t0))
         if it < rounds:
             current = refine_all(current)
-    return RunHistory(records, config, current, field, u_inc_h1)
+    return RunHistory(records, config, current, field, u_inc_h1, report)
 
 
 # -- run artifacts ----------------------------------------------------------
@@ -190,16 +191,14 @@ def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
     write_history_csv(history, os.path.join(out_dir, "history.csv"))
     save_mesh(history.mesh, os.path.join(out_dir, "mesh_final.txt"))
     assembly.save_solution_csv(history.field, os.path.join(out_dir, "solution_final.csv"))
-    spectrum = build_spectrum(history.config)
-    report = estimator.global_estimate(history.field, spectrum, u_inc_h1=history.u_inc_h1)
-    estimator.save_eta_csv(report, os.path.join(out_dir, "eta_final.csv"))
+    estimator.save_eta_csv(history.report, os.path.join(out_dir, "eta_final.csv"))
     meshmod.save_triangle_scalars(
         os.path.join(out_dir, "magnitude_final.txt"),
         assembly.triangle_magnitudes(history.field),
     )
     if dump_spectrum:
         with open(os.path.join(out_dir, "spectrum.txt"), "w") as fh:
-            fh.write(spectrum_table(spectrum))
+            fh.write(spectrum_table(build_spectrum(history.config)))
 
 
 # -- configuration plumbing -------------------------------------------------

@@ -15,6 +15,10 @@ class OverflowRegime(ElastoDtnError):
     """|Y_n(z)| left the representable range before the requested order."""
 
 
+class OrderCapExceeded(ElastoDtnError, ValueError):
+    """Requested Bessel order is above the supported maximum (1024)."""
+
+
 class DegenerateMode(ElastoDtnError):
     """Lambda_n is numerically singular; the mode matrix cannot be formed."""
 

@@ -69,7 +69,13 @@ class Mesh:
             [t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=0
         )
         pairs_sorted = np.sort(pairs, axis=1)
-        self.edges, inverse = np.unique(pairs_sorted, axis=0, return_inverse=True)
+        # a * n + b orders the pairs (a, b) lexicographically, as a row-wise
+        # unique would, at the cost of a 1-D sort
+        n = int(pairs_sorted.max(initial=0)) + 1
+        keys, inverse = np.unique(
+            pairs_sorted[:, 0] * n + pairs_sorted[:, 1], return_inverse=True
+        )
+        self.edges = np.column_stack([keys // n, keys % n])
         n_tri = t.shape[0]
         self.tri_edges = inverse.reshape(3, n_tri).T.copy()
         counts = np.bincount(inverse, minlength=len(self.edges))
@@ -100,8 +106,9 @@ class Mesh:
         self.edge_tags = etags
 
     def _validate(self):
-        uniq = np.unique(np.sort(self.triangles, axis=1), axis=0)
-        if len(uniq) != len(self.triangles):
+        s = np.sort(self.triangles, axis=1)
+        s = s[np.lexsort(s.T[::-1])]
+        if np.any(np.all(s[1:] == s[:-1], axis=1)):
             raise NonConforming("mesh contains a duplicated triangle")
         if np.any(self.signed_areas() <= 0.0):
             k = int(np.argmax(self.signed_areas() <= 0.0))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMode, NonPositiveArgument, OverflowRegime
+from .errors import DegenerateMode, NonPositiveArgument, OrderCapExceeded, OverflowRegime
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310421
 
@@ -141,7 +141,9 @@ def _ladder(n_max: int, z: float):
     if not z > 0.0:
         raise NonPositiveArgument(f"argument must be positive, got z={z}")
     if n_max > _MAX_ORDER:
-        raise ValueError(f"order {n_max} exceeds the supported maximum {_MAX_ORDER}")
+        raise OrderCapExceeded(
+            f"order {n_max} exceeds the supported maximum {_MAX_ORDER}"
+        )
     key = float(z)
     hit = _ladder_cache.get(key)
     if hit is not None and hit[0] >= n_max:

@@ -6,13 +6,15 @@ import pytest
 
 from elastodtn import (
     adaptive_solve,
+    build_spectrum,
+    estimator,
     example1_config,
     example1_mesh,
     example2_config,
     example2_mesh,
     uniform_solve,
 )
-from elastodtn.driver import cli, load_config_file, write_history_csv
+from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
 from elastodtn.errors import IterationCapReached
 
 
@@ -55,6 +57,49 @@ class TestAdaptiveLoop:
         hist = adaptive_solve(cfg, example1_mesh(16, 1), max_dof=400)
         assert hist.records[-1].dof >= 400
         assert hist.records[-2].dof < 400
+
+
+class TestRunArtifacts:
+    @pytest.fixture()
+    def estimate_calls(self, monkeypatch):
+        calls = []
+        estimate = estimator.global_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "global_estimate", counting)
+        return calls
+
+    @staticmethod
+    def fresh_eta_csv(hist, path):
+        spectrum = build_spectrum(hist.config)
+        report = estimator.global_estimate(hist.field, spectrum, u_inc_h1=hist.u_inc_h1)
+        estimator.save_eta_csv(report, path)
+        return path.read_bytes()
+
+    def test_one_estimate_per_iteration_and_none_in_writer(self, tmp_path, estimate_calls):
+        cfg = example1_config(tolerance=1e-12, max_iters=40)
+        hist = adaptive_solve(cfg, example1_mesh(16, 1), max_dof=400)
+        assert len(estimate_calls) == len(hist.records) >= 3
+        _write_run_outputs(hist, tmp_path / "run")
+        assert len(estimate_calls) == len(hist.records)
+        eta = (tmp_path / "run" / "eta_final.csv").read_bytes()
+        assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh.csv")
+
+    def test_capped_history_carries_final_report(self, tmp_path, estimate_calls):
+        cfg = example1_config(tolerance=1e-9, max_iters=2)
+        with pytest.raises(IterationCapReached) as err:
+            adaptive_solve(cfg, example1_mesh(16, 1))
+        hist = err.value.history
+        assert len(estimate_calls) == 2
+        assert len(hist.report.eta) == len(hist.mesh.triangles)
+        _write_run_outputs(hist, tmp_path / "run", dump_spectrum=True)
+        assert len(estimate_calls) == 2
+        assert (tmp_path / "run" / "spectrum.txt").exists()
+        eta = (tmp_path / "run" / "eta_final.csv").read_bytes()
+        assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh.csv")
 
 
 class TestUniformLoop:
@@ -146,6 +191,11 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         rows = [l for l in lines if not l.startswith("#")]
         assert len(rows) == 11  # n = -5..5
+
+    def test_order_cap_is_a_library_error(self, capsys):
+        code = cli(["spectrum-dump", "--N", "1100"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: OrderCapExceeded: order 1100")
 
     def test_mesh_info(self, capsys):
         code = cli(["mesh-info", "--example", "1"])

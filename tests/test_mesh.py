@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from elastodtn import example1_mesh, example2_mesh
 from elastodtn.errors import (
     InvalidRadii,
     NonConforming,
@@ -230,7 +231,43 @@ class TestTextFormat:
         assert path.read_text().splitlines() == ["0 0.25", "1 1.5"]
 
 
+def lexicographic_connectivity(triangles):
+    """Edges by a row-wise unique of the sorted vertex pairs; each edge's
+    triangles in order of first appearance, local edge k before k + 1."""
+    pairs = np.concatenate(
+        [triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]]
+    )
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(3, -1).T
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    for k in range(3):
+        for t, e in enumerate(tri_edges[:, k]):
+            edge_tris[e, 0 if edge_tris[e, 0] < 0 else 1] = t
+    return edges, tri_edges, edge_tris
+
+
 class TestMeshClassInvariants:
+    @pytest.mark.parametrize("mesh_name", ["ex1-0", "ex1-1", "ex1-2", "ushape"])
+    def test_connectivity_matches_lexicographic_build(self, mesh_name):
+        if mesh_name == "ushape":
+            m = example2_mesh()
+        else:
+            m = example1_mesh()
+            for _ in range(int(mesh_name[-1])):
+                m = refine_all(m)
+        edges, tri_edges, edge_tris = lexicographic_connectivity(m.triangles)
+        assert np.array_equal(m.edges, edges)
+        assert np.array_equal(m.tri_edges, tri_edges)
+        assert np.array_equal(m.edge_tris, edge_tris)
+
+    def test_duplicated_triangle_direct_construction(self):
+        # every edge is shared by exactly the two copies, so only the
+        # duplicate-triangle check can reject this
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        tris = np.array([[0, 1, 2], [1, 2, 0]])
+        with pytest.raises(NonConforming, match="duplicated triangle"):
+            Mesh(verts, tris, np.zeros(3, dtype=np.int8))
+
     def test_nonconforming_direct_construction(self):
         verts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])
         tris = np.array([[0, 1, 2], [1, 3, 2], [1, 0, 3]])  # (0,1) in three triangles

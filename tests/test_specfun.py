@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from elastodtn.errors import NonPositiveArgument, OverflowRegime
+from elastodtn.errors import NonPositiveArgument, OrderCapExceeded, OverflowRegime
 from elastodtn.specfun import (
     bessel_jy,
     hankel1,
@@ -72,6 +72,13 @@ class TestBesselJy:
     def test_nonpositive_argument(self, z):
         with pytest.raises(NonPositiveArgument):
             bessel_jy(3, z)
+
+    def test_order_cap(self):
+        bessel_jy(1024, 1000.0)
+        with pytest.raises(OrderCapExceeded, match="1025"):
+            bessel_jy(1025, 1000.0)
+        with pytest.raises(ValueError):  # still a ValueError for old callers
+            bessel_jy(1025, 1000.0)
 
     def test_overflow_regime_small_argument(self):
         with pytest.raises(OverflowRegime):
