@@ -130,8 +130,10 @@ def adaptive_solve(
 
     Raises IterationCapReached (with the partial history attached) if
     config.max_iters solves did not reach the tolerance; an optional
-    max_dof turns the DoF budget into a regular stopping rule.
+    max_dof turns the DoF budget into a regular stopping rule.  Raises
+    InvalidRadii if the mesh does not fit config.R and config.R_hat.
     """
+    meshmod.check_radii(initial_mesh, config.R_hat, config.R)
     t0 = time.perf_counter()
     spectrum = build_spectrum(config)
     u_inc_h1 = assembly.incident_h1(config, initial_mesh)
@@ -158,6 +160,7 @@ def adaptive_solve(
 
 def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> RunHistory:
     """Same pipeline with full refinement (every edge split) each round."""
+    meshmod.check_radii(initial_mesh, config.R_hat, config.R)
     t0 = time.perf_counter()
     spectrum = build_spectrum(config)
     u_inc_h1 = assembly.incident_h1(config, initial_mesh)

@@ -19,7 +19,7 @@ so no quadrature tolerance enters the operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,11 +65,8 @@ class BoundaryTrace:
     fourier: dict[int, np.ndarray] | None = field(default=None)
 
 
-def mode_matrix(n: int, omega: float, lam: float, mu: float, radius: float) -> np.ndarray:
-    """Single DtN matrix M_n from the simplified entry formulas."""
-    kappa1 = omega / math.sqrt(lam + 2.0 * mu)
-    kappa2 = omega / math.sqrt(mu)
-    ms = mode_scalars(n, kappa1, kappa2, radius)
+def _mode_matrix(n: int, ms: ModeScalars, omega: float, mu: float, radius: float) -> np.ndarray:
+    """M_n from the simplified entry formulas, given the scalars of |n|."""
     L = ms.lambda_n
     w2 = omega * omega
     R = radius
@@ -84,10 +81,19 @@ def mode_matrix(n: int, omega: float, lam: float, mu: float, radius: float) -> n
     return M / L
 
 
+def mode_matrix(n: int, omega: float, lam: float, mu: float, radius: float) -> np.ndarray:
+    """Single DtN matrix M_n from the simplified entry formulas."""
+    kappa1 = omega / math.sqrt(lam + 2.0 * mu)
+    kappa2 = omega / math.sqrt(mu)
+    ms = mode_scalars(n, kappa1, kappa2, radius)
+    return _mode_matrix(n, ms, omega, mu, radius)
+
+
 def build_spectrum(config) -> DtnSpectrum:
     """All mode matrices |n| <= config.N for the given material and radius.
 
-    config only needs attributes omega, lam, mu, R and N.
+    config only needs attributes omega, lam, mu, R and N.  The scalars
+    depend on |n| only, so they are computed once for each pair +-n.
     """
     N = int(config.N)
     if N < 0:
@@ -95,11 +101,11 @@ def build_spectrum(config) -> DtnSpectrum:
     omega, lam, mu, R = config.omega, config.lam, config.mu, config.R
     kappa1 = omega / math.sqrt(lam + 2.0 * mu)
     kappa2 = omega / math.sqrt(mu)
-    modes: dict[int, np.ndarray] = {}
-    scalars: dict[int, ModeScalars] = {}
-    for n in range(-N, N + 1):
-        scalars[n] = mode_scalars(n, kappa1, kappa2, R)
-        modes[n] = mode_matrix(n, omega, lam, mu, R)
+    # highest order first, so each argument's Bessel ladder is built once
+    per_m = [mode_scalars(m, kappa1, kappa2, R) for m in range(N, -1, -1)][::-1]
+    ns = range(-N, N + 1)
+    modes = {n: _mode_matrix(n, per_m[abs(n)], omega, mu, R) for n in ns}
+    scalars = {n: per_m[n] if n >= 0 else replace(per_m[-n], n=n) for n in ns}
     return DtnSpectrum(N, R, omega, lam, mu, kappa1, kappa2, modes, scalars)
 
 

@@ -228,6 +228,24 @@ def generate_annulus(
     return Mesh(vertices, tris, tags, 0, outer_radius=R, obstacle_radius=R_hat_inner)
 
 
+def check_radii(mesh: Mesh, R_hat: float, R: float) -> None:
+    """Raise InvalidRadii unless the mesh fits the DtN radii.
+
+    The outer boundary must be the circle r = R, and every obstacle vertex
+    must lie in r <= R_hat: the truncation bound eps_N assumes the
+    obstacle inside the disk of radius R_hat.
+    """
+    if abs(mesh.outer_radius - R) > _CIRCLE_RTOL * R:
+        raise InvalidRadii(
+            f"the mesh's outer radius {mesh.outer_radius:.12g} differs from R = {R:.12g}"
+        )
+    r = np.linalg.norm(mesh.vertices[mesh.vertex_tags == OBSTACLE], axis=1)
+    if r.size and r.max() > R_hat * (1.0 + _CIRCLE_RTOL):
+        raise InvalidRadii(
+            f"an obstacle vertex lies at r = {r.max():.12g}, outside r <= R_hat = {R_hat:.12g}"
+        )
+
+
 def mark(etas, theta: float) -> MarkedSet:
     """Maximum marking: indices with eta_K > theta * max eta."""
     etas = np.asarray(etas, dtype=np.float64)

@@ -15,7 +15,8 @@ from elastodtn import (
     uniform_solve,
 )
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
-from elastodtn.errors import IterationCapReached
+from elastodtn.errors import InvalidRadii, IterationCapReached
+from elastodtn.mesh import generate_annulus
 
 
 class TestAdaptiveLoop:
@@ -51,6 +52,30 @@ class TestAdaptiveLoop:
         assert len(eps_n) == 1
         # Table-1 step 3 budget, relative to the incident norm
         assert recs[0].eps_N <= 1e-8 * run_example1_adaptive.u_inc_h1
+
+    def test_obstacle_outside_r_hat_rejected(self):
+        cfg = example1_config(R_hat=0.4)
+        for run in (
+            lambda: adaptive_solve(cfg, example1_mesh(16, 1)),
+            lambda: uniform_solve(cfg, example1_mesh(16, 1), rounds=0),
+        ):
+            with pytest.raises(InvalidRadii, match="obstacle vertex lies at r = 0.5"):
+                run()
+
+    def test_outer_radius_must_equal_r(self):
+        cfg = example1_config()
+        mesh = generate_annulus(0.5, 1.25, 16, 1)
+        for run in (
+            lambda: adaptive_solve(cfg, mesh),
+            lambda: uniform_solve(cfg, mesh, rounds=0),
+        ):
+            with pytest.raises(InvalidRadii, match="outer radius 1.25 differs from R = 1"):
+                run()
+
+    def test_shipped_examples_fit_their_radii(self):
+        # the disk touches R_hat = 0.5 exactly; the U-shape reaches 2.309 < 2.31
+        adaptive_solve(example1_config(tolerance=math.inf), example1_mesh(16, 1))
+        uniform_solve(example2_config(N=8), example2_mesh(), rounds=0)
 
     def test_max_dof_stop(self):
         cfg = example1_config(tolerance=1e-12, max_iters=40)
@@ -184,6 +209,13 @@ class TestCli:
         )
         assert code != 0
         assert "InvalidRadii" in capsys.readouterr().err
+
+    def test_r_hat_inside_obstacle_is_an_error(self, tmp_path, capsys):
+        code = cli(["solve", "--example", "1", "--R-hat", "0.4", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidRadii: an obstacle vertex lies at r = 0.5")
+        assert not (tmp_path / "history.csv").exists()
 
     def test_spectrum_dump_rows(self, capsys):
         code = cli(["spectrum-dump", "--N", "5"])

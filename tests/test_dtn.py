@@ -25,7 +25,7 @@ from elastodtn.dtn import (
     truncation_error,
 )
 from elastodtn.errors import EmptyBoundary, InvalidRadii, NodeSetMismatch
-from elastodtn.specfun import hankel1
+from elastodtn.specfun import hankel1, mode_scalars
 from elastodtn import example1_config
 
 
@@ -86,6 +86,16 @@ class TestModeMatrices:
     def test_build_spectrum_covers_signed_modes(self):
         spec = build_spectrum(example1_config(N=7))
         assert sorted(spec.modes) == list(range(-7, 8))
+
+    def test_build_spectrum_matches_single_modes_exactly(self):
+        cfg = example1_config(N=12)
+        spec = build_spectrum(cfg)
+        k1, k2 = cfg.kappa1, cfg.kappa2
+        for n in range(-12, 13):
+            single = mode_matrix(n, cfg.omega, cfg.lam, cfg.mu, cfg.R)
+            assert np.array_equal(spec.modes[n], single)
+            assert spec.scalars[n] == mode_scalars(n, k1, k2, cfg.R)
+        assert list(spec.modes) == list(range(-12, 13))
 
 
 def equispaced_trace(n_nodes, values_fn):

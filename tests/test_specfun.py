@@ -1,20 +1,24 @@
 """Bessel/Hankel evaluation against independent oracles.
 
 Oracles: the defining power series for J_0, the Wronskian identity,
-centered finite differences for derivatives, and the classical
-large-order asymptotics.  None of them reuse the recurrence path.
+centered finite differences for derivatives, the classical large-order
+asymptotics, scipy.special (AMOS) and, when installed, mpmath.  None of
+them reuse the recurrence path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special as sc
 
 from elastodtn.errors import NonPositiveArgument, OrderCapExceeded, OverflowRegime
 from elastodtn.specfun import (
     bessel_jy,
     hankel1,
     hankel_ratio_gap,
+    hankel01,
     jy01,
     mode_scalars,
 )
@@ -197,3 +201,81 @@ class TestHankelRatioGap:
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
             hankel_ratio_gap(10, K1, K2, 1.0, 0.5)
+
+
+def _relerr(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+class TestJy01Oracles:
+    """The vectorized kernel against scipy and mpmath over z in [1e-3, 2e3]."""
+
+    # 25 is where Hankel's expansion takes over from Miller's recurrence
+    Z = np.concatenate(
+        [np.geomspace(1e-3, 2e3, 200_001), 25.0 + np.array([-1e-9, 0.0, 1e-9])]
+    )
+
+    def test_hankel01_against_scipy(self):
+        h0, h1, _, _ = hankel01(self.Z)
+        assert _relerr(h0, sc.hankel1(0, self.Z)) <= 1e-14
+        assert _relerr(h1, sc.hankel1(1, self.Z)) <= 1e-14
+
+    def test_shape_is_kept(self):
+        z = np.linspace(1.0, 60.0, 12).reshape(3, 4)
+        assert all(a.shape == (3, 4) for a in jy01(z))
+
+    @pytest.mark.parametrize("z", [1e-3, 0.7, 24.999999999, 25.0, 137.5, 1000.0, 2000.0])
+    def test_mpmath_spot_values(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = [complex(mpmath.hankel1(nu, z)) for nu in (0, 1)]
+        h0, h1, _, _ = hankel01(np.array([z]))
+        assert abs(h0[0] - want[0]) <= 1e-14 * abs(want[0])
+        assert abs(h1[0] - want[1]) <= 1e-14 * abs(want[1])
+
+    @pytest.mark.parametrize("z", [3.0, 24.0, 30.0, 289.4, 1000.0])
+    def test_scalar_ladder_shares_the_y_seeds(self, z):
+        _, _, y0, y1 = jy01(np.array([z]))
+        pairs = bessel_jy(1, z)
+        assert pairs[0].y == y0[0]
+        assert pairs[1].y == y1[0]
+
+    def test_memory_does_not_grow_with_argument(self):
+        z = np.full(20_000, 1000.0)
+        tracemalloc.start()
+        try:
+            jy01(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
+class TestModeScalarsHighFrequency:
+    """alpha_jn against scipy's h1vp/hankel1 up to the order cap."""
+
+    @pytest.mark.parametrize("k2", [289.4, 1000.0])
+    def test_alpha_against_scipy(self, k2):
+        k1 = k2 / 2.0
+        ns = np.arange(1025)
+        got = np.array(
+            [[s.alpha1, s.alpha2] for s in (mode_scalars(int(n), k1, k2, 1.0) for n in ns)]
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.stack(
+                [k * sc.h1vp(ns, k) / sc.hankel1(ns, k) for k in (k1, k2)], axis=1
+            )
+        ok = np.isfinite(want)
+        assert ok[: int(k2) + 100].all()  # scipy is finite well past the turning point
+        assert _relerr(got[ok], want[ok]) <= 1e-10
+
+    def test_mpmath_alpha_spot_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = 1000.0
+        for n in (0, 1, 500, 990):
+            with mpmath.workdps(30):
+                h = mpmath.hankel1(n, z)
+                hp = (mpmath.hankel1(n - 1, z) - mpmath.hankel1(n + 1, z)) / 2
+                want = complex(z * hp / h)
+            got = mode_scalars(n, z / 2.0, z, 1.0).alpha2
+            assert abs(got - want) <= 1e-12 * abs(want)
