@@ -208,6 +208,18 @@ def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
 
 _FLOAT_KEYS = {"omega", "lambda", "mu", "R", "R_hat", "theta", "tol"}
 _INT_KEYS = {"N", "max_iters", "example", "max_dof", "rounds"}
+# CLI flag (argparse dest, also the config-file key) -> ProblemConfig field
+_CONFIG_FIELDS = {
+    "omega": "omega",
+    "lambda": "lam",
+    "mu": "mu",
+    "R": "R",
+    "R_hat": "R_hat",
+    "N": "N",
+    "theta": "theta_mark",
+    "tol": "tolerance",
+    "max_iters": "max_iters",
+}
 
 
 def load_config_file(path) -> dict:
@@ -234,39 +246,16 @@ def _build_config(ns) -> tuple[ProblemConfig, Mesh]:
     settings = {}
     if ns.config:
         settings.update(load_config_file(ns.config))
-    for key, attr in [
-        ("omega", "omega"),
-        ("lambda", "lam"),
-        ("mu", "mu"),
-        ("R", "R"),
-        ("R_hat", "R_hat"),
-        ("N", "N"),
-        ("theta", "theta"),
-        ("tol", "tol"),
-        ("max_iters", "max_iters"),
-        ("example", "example"),
-        ("mesh", "mesh"),
-    ]:
-        val = getattr(ns, attr, None)
+    for key in (*_CONFIG_FIELDS, "example", "mesh"):
+        val = getattr(ns, key, None)
         if val is not None:
             settings[key] = val
 
     example = int(settings.get("example", 1))
     maker = example1_config if example == 1 else example2_config
-    overrides = {}
-    for src, dst in [
-        ("omega", "omega"),
-        ("lambda", "lam"),
-        ("mu", "mu"),
-        ("R", "R"),
-        ("R_hat", "R_hat"),
-        ("N", "N"),
-        ("theta", "theta_mark"),
-        ("tol", "tolerance"),
-        ("max_iters", "max_iters"),
-    ]:
-        if src in settings:
-            overrides[dst] = settings[src]
+    overrides = {
+        field: settings[key] for key, field in _CONFIG_FIELDS.items() if key in settings
+    }
     cfg = maker(**overrides)
     if "mesh" in settings and settings["mesh"]:
         msh = load_mesh(settings["mesh"])
@@ -281,7 +270,7 @@ def _add_common_flags(p):
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--example", type=int, choices=(1, 2))
     p.add_argument("--omega", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", type=float)
     p.add_argument("--mu", type=float)
     p.add_argument("--R", type=float)
     p.add_argument("--R-hat", dest="R_hat", type=float)
@@ -381,10 +370,6 @@ def _dispatch(ns) -> int:
         )
         return 0
     raise AssertionError(f"unhandled command {ns.command}")
-
-
-def _fmt(x, width=10):
-    return f"{x:{width}.4f}" if x is not None else " " * width
 
 
 def _convergence_table(adaptive: RunHistory, uniform: RunHistory) -> str:

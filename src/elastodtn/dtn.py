@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyBoundary, InvalidRadii, NodeSetMismatch
+from .errors import EmptyBoundary, InvalidParameter, InvalidRadii, NodeSetMismatch
 from .specfun import ModeScalars, mode_scalars
 
 TWO_PI = 2.0 * math.pi
@@ -97,7 +97,7 @@ def build_spectrum(config) -> DtnSpectrum:
     """
     N = int(config.N)
     if N < 0:
-        raise ValueError("truncation order N must be nonnegative")
+        raise InvalidParameter("truncation order N must be nonnegative")
     omega, lam, mu, R = config.omega, config.lam, config.mu, config.R
     kappa1 = omega / math.sqrt(lam + 2.0 * mu)
     kappa2 = omega / math.sqrt(mu)
@@ -212,7 +212,7 @@ def truncation_error(N: int, R_hat: float, R: float, u_inc_h1: float) -> float:
     if not (0.0 < R_hat < R):
         raise InvalidRadii(f"need 0 < R_hat < R, got R_hat={R_hat}, R={R}")
     if u_inc_h1 < 0.0:
-        raise ValueError("u_inc_h1 must be nonnegative")
+        raise InvalidParameter("u_inc_h1 must be nonnegative")
     q = R_hat / R
     width = int(math.ceil(2.0 / math.log(1.0 / q)))
     peak = int(math.ceil(1.0 / math.log(1.0 / q)))
@@ -227,7 +227,7 @@ def select_truncation(
 ) -> int:
     """Smallest N >= 0 with truncation_error(N) <= tolerance."""
     if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+        raise InvalidParameter("tolerance must be positive")
     N = 0
     while truncation_error(N, R_hat, R, u_inc_h1) > tolerance:
         N += 1

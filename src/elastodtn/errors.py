@@ -5,6 +5,10 @@ class ElastoDtnError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(ElastoDtnError, ValueError):
+    """A numeric or categorical input lies outside its valid range."""
+
+
 # --- special functions ---
 
 class NonPositiveArgument(ElastoDtnError):

@@ -37,7 +37,7 @@ from .assembly import (
 )
 from .dtn import DtnSpectrum, mode_weights, polar_components, truncation_error
 from .errors import NotInteriorEdge, NotOuterEdge
-from .mesh import OBSTACLE, OUTER, Mesh
+from .mesh import OBSTACLE, OUTER, Mesh, format_rows
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 _GAUSS_T = 0.5 * (_GAUSS_X + 1.0)  # nodes on (0, 1)
@@ -226,5 +226,4 @@ def save_eta_csv(report: EstimateReport, path):
     """Per-triangle export ``triangle_index eta`` for heat maps."""
     with open(path, "w") as fh:
         fh.write("triangle_index,eta\n")
-        for i, v in enumerate(report.eta):
-            fh.write(f"{i},{v:.17g}\n")
+        fh.write(format_rows("%d,%.17g\n", np.arange(len(report.eta)), report.eta))

@@ -356,21 +356,33 @@ def _split(mesh: Mesh, edge_marked: np.ndarray) -> Mesh:
 # -- text format ----------------------------------------------------------
 
 
+def format_rows(row_fmt: str, *columns) -> str:
+    """row_fmt applied to every row of the given columns in one % operation.
+
+    Gives the same bytes as formatting row by row, in a fraction of the
+    time; the columns keep their Python types, so %d sees integers.
+    """
+    k = len(columns)
+    n = len(columns[0])
+    flat = [None] * (n * k)
+    for j, col in enumerate(columns):
+        flat[j::k] = np.asarray(col).tolist()
+    return (row_fmt * n) % tuple(flat)
+
+
 def save_mesh(mesh: Mesh, path):
+    x, y = mesh.vertices.T
+    i, j, k = mesh.triangles.T
     with open(path, "w") as fh:
         fh.write(f"vertices {len(mesh.vertices)} triangles {len(mesh.triangles)}\n")
-        for (x, y), tag in zip(mesh.vertices, mesh.vertex_tags):
-            fh.write(f"{x:.17g} {y:.17g} {int(tag)}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
+        fh.write(format_rows("%.17g %.17g %d\n", x, y, mesh.vertex_tags))
+        fh.write(format_rows("%d %d %d\n", i, j, k))
 
 
 def save_triangle_scalars(path, values):
     """Companion export ``triangle_index value`` for plotting."""
-    values = np.asarray(values)
     with open(path, "w") as fh:
-        for i, v in enumerate(values):
-            fh.write(f"{i} {v:.17g}\n")
+        fh.write(format_rows("%d %.17g\n", np.arange(len(values)), values))
 
 
 def load_mesh(path, fix_orientation: bool = False) -> Mesh:

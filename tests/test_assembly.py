@@ -7,6 +7,7 @@ re-verified by a term-by-term evaluation of the variational form.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from elastodtn.assembly import (
     triangle_magnitudes,
 )
 from elastodtn.errors import InvalidRadii, MeshMismatch, OriginEvaluation
-from elastodtn.mesh import OBSTACLE, refine_all
+from elastodtn.mesh import OBSTACLE, refine, refine_all
 from elastodtn.specfun import hankel1
 from elastodtn.verify import errors_vs_exact, exact_solution_example1
 
@@ -226,6 +227,35 @@ class TestAssemble:
         assert np.abs(r[free]).max() <= 1e-9 * scale
 
 
+def full_matrix(mesh, cfg, spectrum):
+    """b_N over all DOFs, obstacle ones included: the volume triplets of
+    the element matrices and the dense DtN block in one COO, as CSR."""
+    el = element_matrices(mesh, cfg)
+    n_dof = 2 * len(mesh.vertices)
+    gdof = np.empty((len(mesh.triangles), 6), dtype=np.int64)
+    gdof[:, 0::2] = 2 * mesh.triangles
+    gdof[:, 1::2] = 2 * mesh.triangles + 1
+    rows = np.repeat(gdof, 6, axis=1).ravel()
+    cols = np.tile(gdof, (1, 6)).ravel()
+    data = el.ravel()
+    ddofs, D = dtn_block(mesh, spectrum)
+    rows = np.concatenate([rows, np.repeat(ddofs, len(ddofs))])
+    cols = np.concatenate([cols, np.tile(ddofs, len(ddofs))])
+    data = np.concatenate([data, (-D).ravel()])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+
+
+def reference_system(mesh, cfg, spectrum):
+    """(A_ff, rhs) the slicing way: full matrix, then its free rows and
+    columns, with the lifting taken from its obstacle columns."""
+    A = full_matrix(mesh, cfg, spectrum)
+    dir_vert = np.flatnonzero(mesh.vertex_tags == OBSTACLE)
+    dir_dofs = np.column_stack([2 * dir_vert, 2 * dir_vert + 1]).ravel()
+    g = -incident_field(cfg, mesh.vertices[dir_vert]).ravel()
+    free = np.setdiff1d(np.arange(A.shape[0]), dir_dofs)
+    return A[free][:, free].tocsc(), -A[free][:, dir_dofs] @ g
+
+
 def exact_mode_field(n, cfg, pts):
     """Outgoing pure-mode solution u = grad(H_n(k1 r) e^{in t})
     + curl(H_n(k2 r) e^{in t}), the closed-form field whose boundary
@@ -262,20 +292,8 @@ class TestModeManufactured:
         errs = []
         mesh = example1_mesh(16, 1)
         for _ in range(4):
-            el = element_matrices(mesh, cfg)
-            n_dof = 2 * len(mesh.vertices)
-            gdof = np.empty((len(mesh.triangles), 6), dtype=np.int64)
-            gdof[:, 0::2] = 2 * mesh.triangles
-            gdof[:, 1::2] = 2 * mesh.triangles + 1
-            rows = np.repeat(gdof, 6, axis=1).ravel()
-            cols = np.tile(gdof, (1, 6)).ravel()
-            data = el.ravel()
-            ddofs, D = dtn_block(mesh, spectrum)
-            rows = np.concatenate([rows, np.repeat(ddofs, len(ddofs))])
-            cols = np.concatenate([cols, np.tile(ddofs, len(ddofs))])
-            data = np.concatenate([data, (-D).ravel()])
-            A = sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
-
+            A = full_matrix(mesh, cfg, spectrum)
+            n_dof = A.shape[0]
             bdry = np.flatnonzero(mesh.vertex_tags == OBSTACLE)
             bdofs = np.column_stack([2 * bdry, 2 * bdry + 1]).ravel()
             g = exact_mode_field(n_mode, cfg, mesh.vertices[bdry]).ravel()
@@ -358,6 +376,57 @@ class TestSolve:
         solve(system)
         assert len(factors) == 1
         assert factors[0].nnz <= 0.6 * colamd
+
+
+class TestFreeDofAssembly:
+    """assemble() writes straight into free-DoF numbering.  SuperLU's
+    minimum-degree ordering depends on the stored pattern, so it must be
+    the slicing way's exactly, explicit zeros included."""
+
+    @staticmethod
+    def _case(case):
+        if case == "ex1":
+            return refine_all(example1_mesh()), example1_config()
+        if case == "ex2":
+            return example2_mesh(), example2_config()
+        mesh = refine(example1_mesh(), np.array([3, 100, 200]))
+        return refine(mesh, np.arange(0, len(mesh.triangles), 7)), example1_config()
+
+    @pytest.mark.parametrize("case", ["ex1", "ex2", "ex1-adaptive"])
+    def test_matches_full_matrix_slices(self, case):
+        mesh, cfg = self._case(case)
+        spectrum = build_spectrum(cfg)
+        system = assemble(mesh, cfg, spectrum)
+        A_ref, rhs_ref = reference_system(mesh, cfg, spectrum)
+        A = system.matrix
+        assert A.format == "csc" and A.shape == A_ref.shape
+        assert np.array_equal(A.indptr, A_ref.indptr)
+        assert np.array_equal(A.indices, A_ref.indices)
+        assert np.abs(A.data - A_ref.data).max() <= 1e-14 * np.abs(A_ref.data).max()
+        assert np.linalg.norm(system.rhs - rhs_ref) <= 1e-14 * np.linalg.norm(rhs_ref)
+        on_obstacle = np.repeat(mesh.vertex_tags == OBSTACLE, 2)
+        assert np.array_equal(system.free_dofs, np.flatnonzero(~on_obstacle))
+
+    def test_explicit_zeros_kept(self):
+        """ex1 level 1 stores exact zeros that sparse + would drop."""
+        mesh, cfg = self._case("ex1")
+        A = assemble(mesh, cfg, build_spectrum(cfg)).matrix
+        assert np.count_nonzero(A.data == 0) > 0
+
+    def test_memory_peak(self):
+        """One assembly at ex1 level 2 (8 192 free DoF) peaks below 42 MB
+        of traced allocations; forming the full matrix and slicing it
+        peaked at 57.6 MB."""
+        mesh = refine_all(refine_all(example1_mesh()))
+        cfg = example1_config()
+        spectrum = build_spectrum(cfg)
+        tracemalloc.start()
+        try:
+            assemble(mesh, cfg, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 42e6
 
 
 class TestNorms:

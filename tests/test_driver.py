@@ -1,11 +1,14 @@
 """Adaptive loop mechanics, run artifacts, determinism, and the CLI."""
 
 import math
+import types
 
+import numpy as np
 import pytest
 
 from elastodtn import (
     adaptive_solve,
+    assembly,
     build_spectrum,
     estimator,
     example1_config,
@@ -16,7 +19,7 @@ from elastodtn import (
 )
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
 from elastodtn.errors import InvalidRadii, IterationCapReached
-from elastodtn.mesh import generate_annulus
+from elastodtn.mesh import generate_annulus, refine_all, save_mesh, save_triangle_scalars
 
 
 class TestAdaptiveLoop:
@@ -127,6 +130,66 @@ class TestRunArtifacts:
         assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh.csv")
 
 
+class TestArtifactBytes:
+    """The one-format writers against the row-by-row f-string loops they
+    replaced, on a random complex field with signed zeros and values
+    from 1e-20 to 1e4."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        mesh = refine_all(example1_mesh(16, 1))
+        rng = np.random.default_rng(11)
+        shape = (len(mesh.vertices), 2)
+        scale = 10.0 ** rng.uniform(-20, 4, size=shape)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        values[:4] = 0.0
+        values[4:8] = complex(-0.0, -0.0)
+        values[8, 0] = complex(-0.0, 0.0)
+        values[9, 1] = complex(0.0, -0.0)
+        return assembly.SolutionField(
+            mesh, example1_config(), values, np.zeros(len(mesh.vertices), dtype=bool)
+        )
+
+    @staticmethod
+    def loop_solution(field):
+        out = "vertex_index,x,y,re_ux,im_ux,re_uy,im_uy\n"
+        for i, ((x, y), (ux, uy)) in enumerate(zip(field.mesh.vertices, field.values)):
+            out += (
+                f"{i},{x:.17g},{y:.17g},{ux.real:.17g},{ux.imag:.17g},"
+                f"{uy.real:.17g},{uy.imag:.17g}\n"
+            )
+        return out
+
+    @staticmethod
+    def loop_mesh(mesh):
+        out = f"vertices {len(mesh.vertices)} triangles {len(mesh.triangles)}\n"
+        for (x, y), tag in zip(mesh.vertices, mesh.vertex_tags):
+            out += f"{x:.17g} {y:.17g} {int(tag)}\n"
+        for i, j, k in mesh.triangles:
+            out += f"{i} {j} {k}\n"
+        return out
+
+    def test_solution_csv(self, field, tmp_path):
+        assembly.save_solution_csv(field, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text() == self.loop_solution(field)
+
+    def test_mesh(self, field, tmp_path):
+        save_mesh(field.mesh, tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text() == self.loop_mesh(field.mesh)
+
+    def test_eta_csv(self, field, tmp_path):
+        eta = np.abs(field.values[: len(field.mesh.triangles), 0])
+        estimator.save_eta_csv(types.SimpleNamespace(eta=eta), tmp_path / "e.csv")
+        want = "triangle_index,eta\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(eta))
+        assert (tmp_path / "e.csv").read_text() == want
+
+    def test_triangle_scalars(self, field, tmp_path):
+        values = field.values[: len(field.mesh.triangles), 1].real
+        save_triangle_scalars(tmp_path / "t.txt", values)
+        want = "".join(f"{i} {v:.17g}\n" for i, v in enumerate(values))
+        assert (tmp_path / "t.txt").read_text() == want
+
+
 class TestUniformLoop:
     def test_zero_rounds_initial_solve_only(self):
         cfg = example1_config()
@@ -215,6 +278,21 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidRadii: an obstacle vertex lies at r = 0.5")
+        assert not (tmp_path / "history.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--omega", "-1", "need omega > 0"),
+            ("--N", "-1", "truncation order N must be nonnegative"),
+            ("--mu", "0", "need mu > 0 and lam + mu > 0"),
+            ("--lambda", "-1", "need mu > 0 and lam + mu > 0"),
+        ],
+    )
+    def test_bad_numeric_input_is_a_library_error(self, tmp_path, capsys, flag, value, message):
+        code = cli(["solve", "--example", "1", flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
         assert not (tmp_path / "history.csv").exists()
 
     def test_spectrum_dump_rows(self, capsys):
