@@ -21,26 +21,45 @@ on the triangles that touch the obstacle, never from a full-size matrix.
 The dense block is merged into the volume matrix already sorted by
 column, and the CSC matrix is built once.  Its pattern is exactly that
 of summing all triplets, explicit zeros included (sparse + would drop
-them).  SuperLU's minimum-degree ordering is sensitive to its input:
-numbering the vertices of one adaptive ex1 mesh (13 952 free DoF)
-lexicographically moved its LU fill from 5.70 M to 1.19 M entries, and
-that of the uniform level-4 mesh from 20.0 M to 21.3 M, so a change of
-pattern or numbering is a change of factor cost.
+them).  The minimum-degree ordering depends on the pattern and, mildly,
+on the vertex numbering: numbering one adaptive ex1 mesh (13 952 free
+DoF) lexicographically moves the nonzeros of L + U from 1.25 M to
+1.17 M.  Dropping the explicit zeros moved the stored LU entries by
+-3.5 % to +1.8 % over the systems of the benchmark runs.
 
 The assembled matrix is complex symmetric (A = A^T, not Hermitian):
 every volume term is symmetric, and the DtN block inherits symmetry from
 M_{-n} = M_n^T together with W_{-n} = conj(W_n).
 
 solve() exploits the symmetric pattern: SuperLU orders the columns by
-minimum degree on A^T + A and runs in symmetric mode, which builds its
-elimination tree from A^T + A as well.  At 131 k free DoF this stores
-20 M LU entries where the default COLAMD ordering stores 50 M.  The
-ordering needs the mode: alone it filled 22 M entries at 33 k free DoF,
-against 9.6 M for COLAMD and 4.2 M for both.  The matrix is indefinite
-(the -omega^2 mass term and the complex DtN block), so threshold partial
-pivoting keeps SuperLU's default threshold: without row interchanges the
-relative residual grew with the frequency, to 2.6e-12 at omega = 8 pi
-and 33 k free DoF, against 1e-13 with them.
+minimum degree on A^T + A, and symmetric mode builds the elimination
+tree from A^T + A as well, the graph that was ordered, and prefers
+diagonal pivots.  At 131 k free DoF this stores 20 M LU entries where
+the default COLAMD ordering stores 50 M.
+
+relax=1 turns off SuperLU's relaxed supernodes.  By default SuperLU
+merges small subtrees of the elimination tree into supernodes and stores
+them as dense blocks, zeros included.  On an adaptive ex1 mesh (13 952
+free DoF) that padding stored 5.70 M entries for 1.25 M nonzeros of
+L + U (4.5x) and took 5.2 s to factor instead of 0.3 s; what earlier
+looked like a sensitivity to the vertex numbering was this padding.
+With relax=1 the stored entries exceed those nonzeros by 1 % to 2.3 %
+on ex1 meshes of 512 to 13 952 free DoF, and are never more than the
+default stored.  Values 3 to 8 padded worse than the default (19 M to
+25 M entries against 4.4 M on one disk-adaptive system of 36 992 free
+DoF), 2 equals 1, and 10 reproduces the default.  The mode stays although, with relax=1, it no
+longer changes the stored entries: without it the default relaxation
+stored 20.9 M entries on one U-shape system (35 156 free DoF) against
+6.4 M with it, so the mode keeps the factor robust to the supernode
+setting.  panel_size is left at its default: panel_size=32 corrupts
+the heap in scipy 1.17.1 (the process aborts on exit, even at 512 free
+DoF).
+
+The matrix is indefinite (the -omega^2 mass term and the complex DtN
+block), so threshold partial pivoting keeps SuperLU's default
+threshold: without row interchanges the relative residual grew with the
+frequency, to 2.6e-12 at omega = 8 pi and 33 k free DoF, against 1e-13
+with them.
 """
 
 from __future__ import annotations
@@ -60,6 +79,7 @@ from .errors import (
     OriginEvaluation,
     SingularElement,
     SingularSystem,
+    ThetaOutOfRange,
 )
 from .mesh import OBSTACLE, Mesh, format_rows
 from .specfun import hankel01
@@ -106,6 +126,10 @@ class ProblemConfig:
             raise InvalidParameter("need omega > 0")
         if not (0.0 < self.R_hat < self.R):
             raise InvalidRadii(f"need 0 < R_hat < R, got R_hat={self.R_hat}, R={self.R}")
+        if not (0.0 < self.theta_mark < 1.0):
+            raise ThetaOutOfRange(f"theta must lie in (0, 1), got {self.theta_mark}")
+        if self.max_iters < 1:
+            raise InvalidParameter(f"need max_iters >= 1, got {self.max_iters}")
 
     @property
     def kappa1(self) -> float:
@@ -372,6 +396,7 @@ def solve(system: LinearSystem) -> SolutionField:
             system.matrix,
             permc_spec="MMD_AT_PLUS_A",
             options=dict(SymmetricMode=True),
+            relax=1,
         )
         x = lu.solve(system.rhs)
     except (RuntimeError, ValueError) as exc:

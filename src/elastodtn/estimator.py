@@ -67,8 +67,12 @@ def _field_derivatives(field: SolutionField):
 
 def element_residuals(field: SolutionField) -> np.ndarray:
     """h_K || omega^2 u ||_{L2(K)} for every triangle (exact integral)."""
+    return _element_residuals(field, _field_derivatives(field))
+
+
+def _element_residuals(field: SolutionField, derivatives) -> np.ndarray:
     mesh = field.mesh
-    areas, u_el, _, _ = _field_derivatives(field)
+    areas, u_el, _, _ = derivatives
     total = u_el.sum(axis=1)
     l2_sq = areas / 12.0 * (
         np.sum(np.abs(total) ** 2, axis=1) + np.sum(np.abs(u_el) ** 2, axis=(1, 2))
@@ -81,11 +85,15 @@ def element_residual(field: SolutionField, triangle: int) -> float:
     return float(element_residuals(field)[triangle])
 
 
-def _interior_jump_vectors(field: SolutionField) -> np.ndarray:
-    """(E, 2) complex jump vector per edge; zero rows on boundary edges."""
+def interior_jumps(field: SolutionField) -> np.ndarray:
+    """|| J_e ||_{L2(e)} = |J_e| sqrt(h_e) per edge (0 on boundary edges)."""
+    return _interior_jumps(field, _field_derivatives(field))
+
+
+def _interior_jumps(field: SolutionField, derivatives) -> np.ndarray:
     mesh = field.mesh
     c = field.config
-    _, _, G, div = _field_derivatives(field)
+    _, _, G, div = derivatives
     E = len(mesh.edges)
     out = np.zeros((E, 2), dtype=np.complex128)
     interior = mesh.edge_tris[:, 1] >= 0
@@ -107,14 +115,7 @@ def _interior_jump_vectors(field: SolutionField) -> np.ndarray:
     ddiv = div[t1] - div[t2]
     flux = c.mu * np.einsum("eab,eb->ea", dG, nu) + (c.lam + c.mu) * ddiv[:, None] * nu
     out[interior] = -flux
-    return out
-
-
-def interior_jumps(field: SolutionField) -> np.ndarray:
-    """|| J_e ||_{L2(e)} = |J_e| sqrt(h_e) per edge (0 on boundary edges)."""
-    J = _interior_jump_vectors(field)
-    h = field.mesh.edge_lengths()
-    return np.linalg.norm(np.abs(J), axis=1) * np.sqrt(h)
+    return np.linalg.norm(np.abs(out), axis=1) * np.sqrt(mesh.edge_lengths())
 
 
 def interior_jump(field: SolutionField, edge: int) -> float:
@@ -142,9 +143,13 @@ def boundary_jumps(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     T_N u is evaluated from the global trace coefficients at 4 Gauss
     angles per edge; the edge integral uses ds = R dtheta on the circle.
     """
+    return _boundary_jumps(field, spectrum, _field_derivatives(field))
+
+
+def _boundary_jumps(field: SolutionField, spectrum: DtnSpectrum, derivatives) -> np.ndarray:
     mesh = field.mesh
     c = field.config
-    _, _, G, div = _field_derivatives(field)
+    _, _, G, div = derivatives
     E = len(mesh.edges)
     out = np.zeros(E)
     outer_ids = np.flatnonzero(mesh.edge_tags == OUTER)
@@ -188,8 +193,10 @@ def boundary_jump(field: SolutionField, edge: int, spectrum: DtnSpectrum) -> flo
 
 def _eta_array(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     mesh = field.mesh
-    resid = element_residuals(field)
-    jump = interior_jumps(field) + boundary_jumps(field, spectrum)
+    # the three terms share one evaluation of the P1 derivatives
+    derivatives = _field_derivatives(field)
+    resid = _element_residuals(field, derivatives)
+    jump = _interior_jumps(field, derivatives) + _boundary_jumps(field, spectrum, derivatives)
     jump_sq = jump**2
     jump_sq[mesh.edge_tags == OBSTACLE] = 0.0
     h_e = mesh.edge_lengths()

@@ -320,32 +320,32 @@ def _split(mesh: Mesh, edge_marked: np.ndarray) -> Mesh:
     vertices = np.concatenate([mesh.vertices, mid_xy], axis=0)
     tags = np.concatenate([mesh.vertex_tags, mid_tags.astype(np.int8)])
 
-    new_tris = []
+    # child counts and offsets keep the children of each triangle together
+    # and in parent order; closure guarantees that a triangle with any split
+    # edge has its refinement edge e0 split
     tri = mesh.triangles
-    te = mesh.tri_edges
-    for t in range(len(tri)):
-        e0, e1, e2 = te[t]
-        if not (edge_marked[e0] or edge_marked[e1] or edge_marked[e2]):
-            new_tris.append(tuple(tri[t]))
-            continue
-        v0, v1, v2 = tri[t]
-        m0 = mid_index[e0]
-        # closure guarantees the refinement edge is split
-        if edge_marked[e2]:
-            m2 = mid_index[e2]
-            new_tris.append((m2, m0, v0))
-            new_tris.append((m2, v1, m0))
-        else:
-            new_tris.append((m0, v0, v1))
-        if edge_marked[e1]:
-            m1 = mid_index[e1]
-            new_tris.append((m1, m0, v2))
-            new_tris.append((m1, v0, m0))
-        else:
-            new_tris.append((m0, v2, v0))
+    split = edge_marked[mesh.tri_edges]
+    bisect = split.any(axis=1)
+    s1, s2 = split[:, 1], split[:, 2]
+    counts = np.where(bisect, 2 + s1 + s2, 1)
+    first = np.cumsum(counts) - counts
+    rest = first + 1 + s2  # the children on the v2 side start here
+    v0, v1, v2 = tri.T
+    m0, m1, m2 = mid_index[mesh.tri_edges].T
+    new_tris = np.empty((int(counts.sum()), 3), dtype=np.int64)
+    new_tris[first[~bisect]] = tri[~bisect]
+    for case, at, child in (
+        (bisect & s2, first, (m2, m0, v0)),
+        (bisect & s2, first + 1, (m2, v1, m0)),
+        (bisect & ~s2, first, (m0, v0, v1)),
+        (bisect & s1, rest, (m1, m0, v2)),
+        (bisect & s1, rest + 1, (m1, v0, m0)),
+        (bisect & ~s1, rest, (m0, v2, v0)),
+    ):
+        new_tris[at[case]] = np.column_stack([c[case] for c in child])
     return Mesh(
         vertices,
-        np.asarray(new_tris, dtype=np.int64),
+        new_tris,
         tags,
         mesh.generation + 1,
         outer_radius=mesh.outer_radius,

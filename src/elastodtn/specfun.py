@@ -346,9 +346,14 @@ def _jy01_miller(z: np.ndarray):
     so the series run to the start order.
     """
     start = _miller_start(1, float(z.max()))
+    seed = 1e-300
+    # |F_{n-1}| <= (1 + 2n/z) max(|F_n|, |F_{n+1}|): where the product of
+    # these factors keeps the seed below _RESCALE, no step can rescale
+    growth = np.log1p(2.0 * np.arange(1, start + 1) / z.min()).sum()
+    may_rescale = math.log(seed) + growth > _LOG_RESCALE
     two_over_z = 2.0 / z
     f_hi = np.zeros_like(z)
-    f = np.full_like(z, 1e-300)
+    f = np.full_like(z, seed)
     even = np.zeros_like(z)  # sum_{k>=1} F_{2k}
     y0s = np.zeros_like(z)  # sum_{k>=1} (-1)^{k+1} F_{2k} / k
     y1s = np.zeros_like(z)  # sum_{k>=1} (-1)^k (2k+1) / (k(k+1)) F_{2k+1}
@@ -360,10 +365,11 @@ def _jy01_miller(z: np.ndarray):
             y0s += ((1.0 if k % 2 else -1.0) / k) * f
         elif k:
             y1s += ((-1.0 if k % 2 else 1.0) * (2 * k + 1) / (k * (k + 1))) * f
-        big = np.abs(f) > _RESCALE
-        if big.any():
-            for arr in (f, f_hi, even, y0s, y1s):
-                arr[big] *= 1.0 / _RESCALE
+        if may_rescale:
+            big = np.abs(f) > _RESCALE
+            if big.any():
+                for arr in (f, f_hi, even, y0s, y1s):
+                    arr[big] *= 1.0 / _RESCALE
     norm = f + 2.0 * even
     j0, j1 = f / norm, f_hi / norm
     L = np.log(0.5 * z) + EULER_GAMMA

@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 
 from elastodtn import (
     IncidentWave,
+    adaptive_solve,
     assemble,
     build_spectrum,
     energy_norm,
@@ -360,11 +361,9 @@ class TestSolve:
         x = solve(system).values.ravel()
         assert np.allclose(M @ x, system.rhs, rtol=0.0, atol=1e-12)
 
-    def test_lu_fill_below_colamd(self, monkeypatch):
-        """ex1 uniform level 2 (8 192 free DoF): 846 528 stored LU entries
-        against 1 893 928 with the default COLAMD ordering."""
-        system = self._system(example1_config(), example1_mesh(), levels=2)
-        colamd = spla.splu(system.matrix).nnz
+    @staticmethod
+    def _keep_factors(monkeypatch) -> list:
+        """Every factor solve() makes from now on, in order."""
         factors = []
         splu = assembly.spla.splu
 
@@ -373,9 +372,34 @@ class TestSolve:
             return factors[-1]
 
         monkeypatch.setattr(assembly.spla, "splu", keep)
+        return factors
+
+    def test_lu_fill_below_colamd(self, monkeypatch):
+        """ex1 uniform level 2 (8 192 free DoF): 844 696 stored LU entries
+        against 1 893 928 with the default COLAMD ordering."""
+        system = self._system(example1_config(), example1_mesh(), levels=2)
+        colamd = spla.splu(system.matrix).nnz
+        factors = self._keep_factors(monkeypatch)
         solve(system)
         assert len(factors) == 1
         assert factors[0].nnz <= 0.6 * colamd
+
+    @pytest.mark.parametrize("case", ["ex1-adaptive-step5", "ex1-level2"])
+    def test_factor_stores_no_padding(self, case, monkeypatch):
+        """The factor stores little beyond the nonzeros of L + U.  SuperLU's
+        default relaxed supernodes stored 4.54 times them on the adaptive
+        step-5 mesh (7 232 vertices, 13 952 free DoF)."""
+        factors = self._keep_factors(monkeypatch)
+        if case == "ex1-level2":
+            solve(self._system(example1_config(), example1_mesh(), levels=2))
+        else:
+            history = adaptive_solve(
+                example1_config(tolerance=1e-12), example1_mesh(), max_dof=7000
+            )
+            assert history.records[-1].dof == 7232
+        lu = factors[-1]
+        n = lu.shape[0]
+        assert lu.nnz <= 1.05 * (lu.L.nnz + lu.U.nnz - n)
 
 
 class TestFreeDofAssembly:

@@ -295,6 +295,25 @@ class TestCli:
         assert capsys.readouterr().err == f"error: InvalidParameter: {message}\n"
         assert not (tmp_path / "history.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [
+            ("--theta", "0", "ThetaOutOfRange: theta must lie in (0, 1), got 0.0"),
+            ("--theta", "1", "ThetaOutOfRange: theta must lie in (0, 1), got 1.0"),
+            ("--max-iters", "0", "InvalidParameter: need max_iters >= 1, got 0"),
+        ],
+    )
+    def test_bad_loop_parameter_fails_before_solving(
+        self, tmp_path, capsys, monkeypatch, flag, value, line
+    ):
+        solves = []
+        monkeypatch.setattr(assembly, "solve", lambda system: solves.append(system))
+        code = cli(["solve", "--example", "1", flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert solves == []
+        assert not (tmp_path / "history.csv").exists()
+
     def test_spectrum_dump_rows(self, capsys):
         code = cli(["spectrum-dump", "--N", "5"])
         assert code == 0

@@ -12,6 +12,7 @@ from elastodtn import (
     global_estimate,
     local_estimator,
 )
+from elastodtn import estimator
 from elastodtn.assembly import SolutionField
 from elastodtn.errors import NotInteriorEdge, NotOuterEdge
 from elastodtn.estimator import (
@@ -270,3 +271,30 @@ class TestGlobalEstimate:
                 continue
             acc += 0.5 * h_e[e] * (ij[e] + bj[e]) ** 2
         assert rep.eta[t] == pytest.approx(resid + math.sqrt(acc), rel=1e-12)
+
+    def test_eta_composes_the_public_terms(self, rng, monkeypatch):
+        """eta equals the composition of the three public per-term
+        functions to the bit, and the P1 derivatives are evaluated once."""
+        cfg = example1_config(N=4)
+        mesh = generate_annulus(0.5, 1.0, 16, 2)
+        spec = build_spectrum(cfg)
+        vals = rng.normal(size=(len(mesh.vertices), 2)) + 1j * rng.normal(
+            size=(len(mesh.vertices), 2)
+        )
+        f = make_field(mesh, cfg, vals)
+        jump_sq = (interior_jumps(f) + boundary_jumps(f, spec)) ** 2
+        jump_sq[mesh.edge_tags == OBSTACLE] = 0.0
+        per_tri = 0.5 * np.sum((mesh.edge_lengths() * jump_sq)[mesh.tri_edges], axis=1)
+        want = element_residuals(f) + np.sqrt(per_tri)
+
+        calls = []
+        derivatives = estimator._field_derivatives
+
+        def count(field):
+            calls.append(field)
+            return derivatives(field)
+
+        monkeypatch.setattr(estimator, "_field_derivatives", count)
+        rep = global_estimate(f, spec)
+        assert len(calls) == 1
+        assert np.array_equal(rep.eta, want)

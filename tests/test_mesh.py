@@ -15,6 +15,8 @@ from elastodtn.mesh import (
     OBSTACLE,
     OUTER,
     Mesh,
+    _midpoints,
+    _propagate,
     generate_annulus,
     load_mesh,
     mark,
@@ -279,3 +281,64 @@ class TestMeshClassInvariants:
         lengths = m.edge_lengths()
         tri_lengths = lengths[m.tri_edges]
         assert np.allclose(tri_lengths[:, 0], tri_lengths.max(axis=1))
+
+
+def loop_split(mesh, edge_marked):
+    """Bisection of the triangles with split edges, one triangle at a time:
+    the reference for the vectorized refinement."""
+    split_ids = np.flatnonzero(edge_marked)
+    mid_xy, mid_tags = _midpoints(mesh, split_ids)
+    mid_index = np.full(len(mesh.edges), -1, dtype=np.int64)
+    mid_index[split_ids] = len(mesh.vertices) + np.arange(len(split_ids))
+    new_tris = []
+    for t in range(len(mesh.triangles)):
+        e0, e1, e2 = mesh.tri_edges[t]
+        if not (edge_marked[e0] or edge_marked[e1] or edge_marked[e2]):
+            new_tris.append(tuple(mesh.triangles[t]))
+            continue
+        v0, v1, v2 = mesh.triangles[t]
+        m0 = mid_index[e0]
+        if edge_marked[e2]:
+            m2 = mid_index[e2]
+            new_tris.append((m2, m0, v0))
+            new_tris.append((m2, v1, m0))
+        else:
+            new_tris.append((m0, v0, v1))
+        if edge_marked[e1]:
+            m1 = mid_index[e1]
+            new_tris.append((m1, m0, v2))
+            new_tris.append((m1, v0, m0))
+        else:
+            new_tris.append((m0, v2, v0))
+    return (
+        np.concatenate([mesh.vertices, mid_xy]),
+        np.asarray(new_tris, dtype=np.int64),
+        np.concatenate([mesh.vertex_tags, mid_tags.astype(np.int8)]),
+    )
+
+
+class TestSplitMatchesLoop:
+    @staticmethod
+    def assert_same(refined, reference):
+        vertices, triangles, tags = reference
+        assert np.array_equal(refined.vertices, vertices)
+        assert np.array_equal(refined.triangles, triangles)
+        assert np.array_equal(refined.vertex_tags, tags)
+
+    @pytest.mark.parametrize("make_mesh", [example1_mesh, example2_mesh])
+    def test_random_marks(self, make_mesh):
+        rng = np.random.default_rng(7)
+        m = make_mesh()
+        for _ in range(7):
+            marked = rng.choice(len(m.triangles), size=len(m.triangles) // 10, replace=False)
+            edge_marked = np.zeros(len(m.edges), dtype=bool)
+            edge_marked[m.tri_edges[marked, 0]] = True
+            _propagate(m, edge_marked)
+            refined = refine(m, marked)
+            self.assert_same(refined, loop_split(m, edge_marked))
+            m = refined
+
+    @pytest.mark.parametrize("make_mesh", [example1_mesh, example2_mesh])
+    def test_refine_all(self, make_mesh):
+        m = make_mesh()
+        self.assert_same(refine_all(m), loop_split(m, np.ones(len(m.edges), dtype=bool)))

@@ -220,6 +220,14 @@ class TestJy01Oracles:
         assert _relerr(h0, sc.hankel1(0, self.Z)) <= 1e-14
         assert _relerr(h1, sc.hankel1(1, self.Z)) <= 1e-14
 
+    def test_small_arguments_that_rescale(self):
+        """Down to z = 1e-10 the recurrence passes 1e250 and rescales;
+        above z = 1e-3 it never does."""
+        z = np.geomspace(1e-10, 24.0, 1001)
+        h0, h1, _, _ = hankel01(z)
+        assert _relerr(h0, sc.hankel1(0, z)) <= 1e-14
+        assert _relerr(h1, sc.hankel1(1, z)) <= 1e-14
+
     def test_shape_is_kept(self):
         z = np.linspace(1.0, 60.0, 12).reshape(3, 4)
         assert all(a.shape == (3, 4) for a in jy01(z))
