@@ -32,7 +32,7 @@ from .dtn import (
     select_truncation,
     truncation_error,
 )
-from .estimator import EstimateReport, global_estimate, local_estimator
+from .estimator import EstimateReport, global_estimate
 from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
 from .specfun import bessel_jy, hankel1, hankel_ratio_gap, mode_scalars
 from .verify import ConvergenceFit, exact_solution_example1, fit_rate, helmholtz_check
@@ -66,7 +66,6 @@ __all__ = [
     "truncation_error",
     "EstimateReport",
     "global_estimate",
-    "local_estimator",
     "Mesh",
     "generate_annulus",
     "load_mesh",

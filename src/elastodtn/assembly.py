@@ -47,13 +47,13 @@ With relax=1 the stored entries exceed those nonzeros by 1 % to 2.3 %
 on ex1 meshes of 512 to 13 952 free DoF, and are never more than the
 default stored.  Values 3 to 8 padded worse than the default (19 M to
 25 M entries against 4.4 M on one disk-adaptive system of 36 992 free
-DoF), 2 equals 1, and 10 reproduces the default.  The mode stays although, with relax=1, it no
-longer changes the stored entries: without it the default relaxation
-stored 20.9 M entries on one U-shape system (35 156 free DoF) against
-6.4 M with it, so the mode keeps the factor robust to the supernode
-setting.  panel_size is left at its default: panel_size=32 corrupts
-the heap in scipy 1.17.1 (the process aborts on exit, even at 512 free
-DoF).
+DoF), 2 equals 1, and 10 reproduces the default.  The mode stays
+although, with relax=1, it no longer changes the stored entries:
+without it the default relaxation stored 20.9 M entries on one U-shape
+system (35 156 free DoF) against 6.4 M with it, so the mode keeps the
+factor robust to the supernode setting.  panel_size is left at its
+default: panel_size=32 corrupts the heap in scipy 1.17.1 (the process
+aborts on exit, even at 512 free DoF).
 
 The matrix is indefinite (the -omega^2 mass term and the complex DtN
 block), so threshold partial pivoting keeps SuperLU's default
@@ -65,7 +65,8 @@ with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,7 +78,6 @@ from .errors import (
     InvalidRadii,
     MeshMismatch,
     OriginEvaluation,
-    SingularElement,
     SingularSystem,
     ThetaOutOfRange,
 )
@@ -140,7 +140,7 @@ class ProblemConfig:
         return self.omega / math.sqrt(self.mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionField:
     """Complex nodal displacement (Cartesian components) on a mesh."""
 
@@ -156,6 +156,23 @@ class SolutionField:
     @property
     def dof(self) -> int:
         return len(self.mesh.vertices)
+
+    @cached_property
+    def jacobians(self) -> np.ndarray:
+        """(T, 2, 2): jacobians[t, a, b] = d u_a / d x_b, constant on
+        triangle t; computed once per field and read-only."""
+        u_el = self.values[self.mesh.triangles]
+        G = np.einsum("tia,tib->tab", u_el, self.mesh.gradients)
+        G.setflags(write=False)
+        return G
+
+    def element_l2_sq(self) -> np.ndarray:
+        """||u||_{L2(K)}^2 for every triangle, exact for P1 fields."""
+        u_el = self.values[self.mesh.triangles]
+        total = u_el.sum(axis=1)
+        return self.mesh.areas / 12.0 * (
+            np.sum(np.abs(total) ** 2, axis=1) + np.sum(np.abs(u_el) ** 2, axis=(1, 2))
+        )
 
 
 @dataclass
@@ -206,23 +223,6 @@ def incident_h1(config: ProblemConfig, mesh: Mesh) -> float:
 # -- P1 building blocks ----------------------------------------------------
 
 
-def p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """(areas, grads) with grads[t, i] the constant gradient of the i-th
-    barycentric basis function on triangle t."""
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.signed_areas()
-    if np.any(areas < 1e-16):
-        raise SingularElement("triangle area below 1e-16")
-    grads = np.empty((len(areas), 3, 2))
-    for i in range(3):
-        pj = p[:, (i + 1) % 3]
-        pk = p[:, (i + 2) % 3]
-        grads[:, i, 0] = pj[:, 1] - pk[:, 1]
-        grads[:, i, 1] = pk[:, 0] - pj[:, 0]
-    grads /= 2.0 * areas[:, None, None]
-    return areas, grads
-
-
 def _mass3(areas: np.ndarray) -> np.ndarray:
     # 3-point midpoint rule, exact for degree 2; equals (A/12)(1 + delta_ij)
     return (areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
@@ -233,7 +233,7 @@ def element_matrices(mesh: Mesh, config: ProblemConfig) -> np.ndarray:
 
     Local DOF ordering is (v0x, v0y, v1x, v1y, v2x, v2y).
     """
-    areas, grads = p1_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     T = len(areas)
     gg = np.einsum("tik,tjk->tij", grads, grads)
     m3 = _mass3(areas)
@@ -419,14 +419,9 @@ def solve(system: LinearSystem) -> SolutionField:
 
 
 def _norm_pieces(field: SolutionField):
-    mesh = field.mesh
-    areas, grads = p1_geometry(mesh)
-    u_el = field.values[mesh.triangles]
-    total = u_el.sum(axis=1)
-    l2_sq = areas / 12.0 * (
-        np.sum(np.abs(total) ** 2, axis=1) + np.sum(np.abs(u_el) ** 2, axis=(1, 2))
-    )
-    G = np.einsum("tia,tib->tab", u_el, grads)
+    areas = field.mesh.areas
+    G = field.jacobians
+    l2_sq = field.element_l2_sq()
     grad_sq = areas * np.sum(np.abs(G) ** 2, axis=(1, 2))
     div_sq = areas * np.abs(G[:, 0, 0] + G[:, 1, 1]) ** 2
     return l2_sq, grad_sq, div_sq
@@ -467,9 +462,9 @@ def residual_vector(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     orthogonality); obstacle-boundary entries carry the reaction forces.
     """
     mesh, config = field.mesh, field.config
-    areas, grads = p1_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     u_el = field.values[mesh.triangles]
-    G = np.einsum("tia,tib->tab", u_el, grads)
+    G = field.jacobians
     div = G[:, 0, 0] + G[:, 1, 1]
 
     # mu (grad u, grad phi_(i,a)) = mu A (G[a,:] . grad lam_i)

@@ -155,6 +155,9 @@ def adaptive_solve(
             )
         marked = mark(report.eta, config.theta_mark)
         current = refine(current, marked)
+        # release the old field, and with it the old mesh's cached
+        # geometry, before the next system is factored
+        field = report = None
     return RunHistory(records, config, current, field, u_inc_h1, report)
 
 
@@ -172,6 +175,7 @@ def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> Run
         records.append(_record(it, field, report, t0))
         if it < rounds:
             current = refine_all(current)
+            field = report = None  # as in adaptive_solve
     return RunHistory(records, config, current, field, u_inc_h1, report)
 
 

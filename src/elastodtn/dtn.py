@@ -19,7 +19,7 @@ so no quadrature tolerance enters the operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,13 +56,11 @@ class BoundaryTrace:
     """Displacement trace sampled at the mesh nodes of the outer circle.
 
     values are Cartesian complex 2-vectors per node; node_angles must be
-    strictly increasing in [0, 2pi).  fourier holds polar-component mode
-    coefficients once computed.
+    strictly increasing in [0, 2pi).
     """
 
     node_angles: np.ndarray
     values: np.ndarray
-    fourier: dict[int, np.ndarray] | None = field(default=None)
 
 
 def _mode_matrix(n: int, ms: ModeScalars, omega: float, mu: float, radius: float) -> np.ndarray:
@@ -117,16 +115,21 @@ def _exp_moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     s = np.asarray(s, dtype=np.complex128)
     small = np.abs(s) < 0.5
-    safe = np.where(small, 1.0, s)
-    es = np.exp(s)
-    E_big = (es - 1.0) / safe
-    G_big = (safe * es - es + 1.0) / (safe * safe)
-    E_small = np.zeros_like(s)
-    G_small = np.zeros_like(s)
+    E = np.empty_like(s)
+    G = np.empty_like(s)
+    # each branch runs only where it is taken
+    big, tiny = s[~small], s[small]
+    es = np.exp(big)
+    E[~small] = (es - 1.0) / big
+    G[~small] = (big * es - es + 1.0) / (big * big)
+    E_small = np.zeros_like(tiny)
+    G_small = np.zeros_like(tiny)
     for k in range(18, -1, -1):
-        E_small = E_small * s + 1.0 / math.factorial(k + 1)
-        G_small = G_small * s + (k + 1.0) / math.factorial(k + 2)
-    return np.where(small, E_small, E_big), np.where(small, G_small, G_big)
+        E_small = E_small * tiny + 1.0 / math.factorial(k + 1)
+        G_small = G_small * tiny + (k + 1.0) / math.factorial(k + 2)
+    E[small] = E_small
+    G[small] = G_small
+    return E, G
 
 
 def mode_weights(node_angles: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -164,9 +167,7 @@ def fourier_coefficients(trace: BoundaryTrace, N: int) -> dict[int, np.ndarray]:
     ns = np.arange(-N, N + 1)
     W = mode_weights(trace.node_angles, ns)
     coeffs = W @ polar_components(trace)
-    out = {int(n): coeffs[i] for i, n in enumerate(ns)}
-    trace.fourier = out
-    return out
+    return {int(n): coeffs[i] for i, n in enumerate(ns)}
 
 
 def trace_l2_sq(trace: BoundaryTrace, radius: float) -> float:

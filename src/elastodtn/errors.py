@@ -65,14 +65,6 @@ class ThetaOutOfRange(ElastoDtnError):
     """Marking fraction must lie strictly inside (0, 1)."""
 
 
-class NotInteriorEdge(ElastoDtnError):
-    """Jump requested on an edge without two neighbouring triangles."""
-
-
-class NotOuterEdge(ElastoDtnError):
-    """Boundary jump requested on an edge not tagged as outer."""
-
-
 # --- assembly / solve ---
 
 class SingularElement(ElastoDtnError):

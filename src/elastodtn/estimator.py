@@ -28,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    SolutionField,
-    check_consistent,
-    incident_h1,
-    outer_trace,
-    p1_geometry,
-)
+from .assembly import SolutionField, check_consistent, incident_h1, outer_trace
 from .dtn import DtnSpectrum, mode_weights, polar_components, truncation_error
-from .errors import NotInteriorEdge, NotOuterEdge
 from .mesh import OBSTACLE, OUTER, Mesh, format_rows
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -56,44 +49,17 @@ class EstimateReport:
     energy_error: float | None = None
 
 
-def _field_derivatives(field: SolutionField):
-    mesh = field.mesh
-    areas, grads = p1_geometry(mesh)
-    u_el = field.values[mesh.triangles]
-    G = np.einsum("tia,tib->tab", u_el, grads)
-    div = G[:, 0, 0] + G[:, 1, 1]
-    return areas, u_el, G, div
-
-
 def element_residuals(field: SolutionField) -> np.ndarray:
     """h_K || omega^2 u ||_{L2(K)} for every triangle (exact integral)."""
-    return _element_residuals(field, _field_derivatives(field))
-
-
-def _element_residuals(field: SolutionField, derivatives) -> np.ndarray:
-    mesh = field.mesh
-    areas, u_el, _, _ = derivatives
-    total = u_el.sum(axis=1)
-    l2_sq = areas / 12.0 * (
-        np.sum(np.abs(total) ** 2, axis=1) + np.sum(np.abs(u_el) ** 2, axis=(1, 2))
-    )
-    h = mesh.triangle_diameters()
-    return h * field.config.omega**2 * np.sqrt(l2_sq)
-
-
-def element_residual(field: SolutionField, triangle: int) -> float:
-    return float(element_residuals(field)[triangle])
+    return field.mesh.diameters * field.config.omega**2 * np.sqrt(field.element_l2_sq())
 
 
 def interior_jumps(field: SolutionField) -> np.ndarray:
     """|| J_e ||_{L2(e)} = |J_e| sqrt(h_e) per edge (0 on boundary edges)."""
-    return _interior_jumps(field, _field_derivatives(field))
-
-
-def _interior_jumps(field: SolutionField, derivatives) -> np.ndarray:
     mesh = field.mesh
     c = field.config
-    _, _, G, div = derivatives
+    G = field.jacobians
+    div = G[:, 0, 0] + G[:, 1, 1]
     E = len(mesh.edges)
     out = np.zeros((E, 2), dtype=np.complex128)
     interior = mesh.edge_tris[:, 1] >= 0
@@ -115,13 +81,7 @@ def _interior_jumps(field: SolutionField, derivatives) -> np.ndarray:
     ddiv = div[t1] - div[t2]
     flux = c.mu * np.einsum("eab,eb->ea", dG, nu) + (c.lam + c.mu) * ddiv[:, None] * nu
     out[interior] = -flux
-    return np.linalg.norm(np.abs(out), axis=1) * np.sqrt(mesh.edge_lengths())
-
-
-def interior_jump(field: SolutionField, edge: int) -> float:
-    if field.mesh.edge_tris[edge, 1] < 0:
-        raise NotInteriorEdge(f"edge {edge} is a boundary edge")
-    return float(interior_jumps(field)[edge])
+    return np.linalg.norm(np.abs(out), axis=1) * np.sqrt(mesh.edge_lengths)
 
 
 def _outer_edge_angles(mesh: Mesh, edge_ids: np.ndarray):
@@ -143,13 +103,8 @@ def boundary_jumps(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     T_N u is evaluated from the global trace coefficients at 4 Gauss
     angles per edge; the edge integral uses ds = R dtheta on the circle.
     """
-    return _boundary_jumps(field, spectrum, _field_derivatives(field))
-
-
-def _boundary_jumps(field: SolutionField, spectrum: DtnSpectrum, derivatives) -> np.ndarray:
     mesh = field.mesh
     c = field.config
-    _, _, G, div = derivatives
     E = len(mesh.edges)
     out = np.zeros(E)
     outer_ids = np.flatnonzero(mesh.edge_tags == OUTER)
@@ -173,9 +128,11 @@ def _boundary_jumps(field: SolutionField, spectrum: DtnSpectrum, derivatives) ->
     tn_cart = P[:, :, 0:1] * er + P[:, :, 1:2] * et
 
     t_adj = mesh.edge_tris[outer_ids, 0]
-    traction = c.mu * np.einsum("eab,eqb->eqa", G[t_adj], er) + (
+    G = field.jacobians[t_adj]
+    div = G[:, 0, 0] + G[:, 1, 1]
+    traction = c.mu * np.einsum("eab,eqb->eqa", G, er) + (
         c.lam + c.mu
-    ) * div[t_adj][:, None, None] * er
+    ) * div[:, None, None] * er
 
     J = 2.0 * (tn_cart - traction)
     sq = np.sum(np.abs(J) ** 2, axis=2)
@@ -183,30 +140,6 @@ def _boundary_jumps(field: SolutionField, spectrum: DtnSpectrum, derivatives) ->
         spectrum.radius * width * np.sum(_GAUSS_W[None, :] * sq, axis=1)
     )
     return out
-
-
-def boundary_jump(field: SolutionField, edge: int, spectrum: DtnSpectrum) -> float:
-    if field.mesh.edge_tags[edge] != OUTER:
-        raise NotOuterEdge(f"edge {edge} is not on the outer circle")
-    return float(boundary_jumps(field, spectrum)[edge])
-
-
-def _eta_array(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
-    mesh = field.mesh
-    # the three terms share one evaluation of the P1 derivatives
-    derivatives = _field_derivatives(field)
-    resid = _element_residuals(field, derivatives)
-    jump = _interior_jumps(field, derivatives) + _boundary_jumps(field, spectrum, derivatives)
-    jump_sq = jump**2
-    jump_sq[mesh.edge_tags == OBSTACLE] = 0.0
-    h_e = mesh.edge_lengths()
-    per_tri = 0.5 * np.sum((h_e * jump_sq)[mesh.tri_edges], axis=1)
-    return resid + np.sqrt(per_tri)
-
-
-def local_estimator(field: SolutionField, triangle: int, spectrum: DtnSpectrum) -> float:
-    """eta_K for a single triangle."""
-    return float(_eta_array(field, spectrum)[triangle])
 
 
 def global_estimate(
@@ -219,14 +152,17 @@ def global_estimate(
     u_inc_h1 lets the caller freeze the incident norm on the initial
     mesh; by default it is recomputed on the current one.
     """
-    cfg = field.config
-    check_consistent(field.mesh, cfg, spectrum)
-    eta = _eta_array(field, spectrum)
+    cfg, mesh = field.config, field.mesh
+    check_consistent(mesh, cfg, spectrum)
+    jump_sq = (interior_jumps(field) + boundary_jumps(field, spectrum)) ** 2
+    jump_sq[mesh.edge_tags == OBSTACLE] = 0.0
+    per_tri = 0.5 * np.sum((mesh.edge_lengths * jump_sq)[mesh.tri_edges], axis=1)
+    eta = element_residuals(field) + np.sqrt(per_tri)
     eps_h = math.sqrt(float(np.sum(eta**2)))
     if u_inc_h1 is None:
-        u_inc_h1 = incident_h1(cfg, field.mesh)
+        u_inc_h1 = incident_h1(cfg, mesh)
     eps_N = truncation_error(spectrum.truncation_n, cfg.R_hat, cfg.R, u_inc_h1)
-    return EstimateReport(eta, eps_h, eps_N, dof=len(field.mesh.vertices))
+    return EstimateReport(eta, eps_h, eps_N, dof=len(mesh.vertices))
 
 
 def save_eta_csv(report: EstimateReport, path):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     NonConforming,
     OrientationError,
     ParseError,
+    SingularElement,
     ThetaOutOfRange,
 )
 
@@ -41,6 +43,13 @@ _CIRCLE_RTOL = 1e-12
 
 @dataclass
 class Mesh:
+    """A triangulation, its edge connectivity and its P1 geometry.
+
+    The geometry (areas, gradients, edge lengths, diameters) is computed
+    on first use and cached read-only; vertices and triangles must not
+    change afterwards.
+    """
+
     vertices: np.ndarray
     triangles: np.ndarray
     vertex_tags: np.ndarray
@@ -110,8 +119,8 @@ class Mesh:
         s = s[np.lexsort(s.T[::-1])]
         if np.any(np.all(s[1:] == s[:-1], axis=1)):
             raise NonConforming("mesh contains a duplicated triangle")
-        if np.any(self.signed_areas() <= 0.0):
-            k = int(np.argmax(self.signed_areas() <= 0.0))
+        if np.any(self.areas <= 0.0):
+            k = int(np.argmax(self.areas <= 0.0))
             raise OrientationError(f"triangle {k} is not counterclockwise")
         if self.outer_radius > 0.0:
             r = np.linalg.norm(self.vertices[self.vertex_tags == OUTER], axis=1)
@@ -122,21 +131,42 @@ class Mesh:
             if r.size and np.max(np.abs(r - self.obstacle_radius)) > _CIRCLE_RTOL * self.obstacle_radius:
                 raise NonConforming("an obstacle vertex is off the circle r = R_hat")
 
-    # -- geometry helpers ---------------------------------------------
+    # -- P1 geometry -------------------------------------------------
 
-    def signed_areas(self) -> np.ndarray:
+    @cached_property
+    def areas(self) -> np.ndarray:
+        """Signed triangle areas (positive for counterclockwise triangles)."""
         p = self.vertices[self.triangles]
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return _frozen(0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
 
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """(T, 3, 2): gradients[t, i] is the constant gradient of the i-th
+        barycentric basis function on triangle t."""
+        areas = self.areas
+        if np.any(areas < 1e-16):
+            raise SingularElement("triangle area below 1e-16")
+        p = self.vertices[self.triangles]
+        grads = np.empty((len(areas), 3, 2))
+        for i in range(3):
+            pj = p[:, (i + 1) % 3]
+            pk = p[:, (i + 2) % 3]
+            grads[:, i, 0] = pj[:, 1] - pk[:, 1]
+            grads[:, i, 1] = pk[:, 0] - pj[:, 0]
+        grads /= 2.0 * areas[:, None, None]
+        return _frozen(grads)
+
+    @cached_property
     def edge_lengths(self) -> np.ndarray:
         d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
-        return np.linalg.norm(d, axis=1)
+        return _frozen(np.linalg.norm(d, axis=1))
 
-    def triangle_diameters(self) -> np.ndarray:
+    @cached_property
+    def diameters(self) -> np.ndarray:
         """Longest edge per triangle (the h_K convention used throughout)."""
-        return self.edge_lengths()[self.tri_edges].max(axis=1)
+        return _frozen(self.edge_lengths[self.tri_edges].max(axis=1))
 
     def min_angle(self) -> float:
         p = self.vertices[self.triangles]
@@ -168,6 +198,11 @@ class Mesh:
             "obstacle_edges": int(np.sum(self.edge_tags == OBSTACLE)),
             "outer_edges": int(np.sum(self.edge_tags == OUTER)),
         }
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _peak_first(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ProblemConfig, SolutionField, p1_geometry
+from .assembly import ProblemConfig, SolutionField
 from .errors import InsufficientData, OriginEvaluation
 from .specfun import hankel01
 
@@ -172,10 +172,10 @@ def errors_vs_exact(field: SolutionField) -> tuple[float, float]:
     the genuine ||u - u_h|| rather than an interpolant distance.
     """
     mesh, cfg = field.mesh, field.config
-    areas, grads = p1_geometry(mesh)
+    areas = mesh.areas
     pts = mesh.vertices[mesh.triangles]  # (T, 3, 2)
     u_el = field.values[mesh.triangles]
-    Gh = np.einsum("tia,tib->tab", u_el, grads)
+    Gh = field.jacobians
 
     l2 = np.zeros(len(areas))
     h1 = np.zeros(len(areas))

@@ -460,7 +460,7 @@ class TestNorms:
         ones = np.zeros((len(mesh.vertices), 2), dtype=np.complex128)
         ones[:, 0] = 1.0
         f = SolutionField(mesh, cfg, ones, np.zeros(len(mesh.vertices), dtype=bool))
-        mesh_area = float(np.sum(mesh.signed_areas()))
+        mesh_area = float(np.sum(mesh.areas))
         assert h1_norm(f) ** 2 == pytest.approx(mesh_area, rel=1e-12)
         # polygonal area approaches the annulus area 3 pi / 4
         assert mesh_area == pytest.approx(3 * math.pi / 4, rel=5e-3)

@@ -14,6 +14,7 @@ import pytest
 
 from elastodtn.dtn import (
     BoundaryTrace,
+    _exp_moments,
     build_spectrum,
     dtn_boundary_form,
     fourier_coefficients,
@@ -177,6 +178,46 @@ class TestFourierCoefficients:
             ut = -vals[j, 0] * np.sin(th[j]) + vals[j, 1] * np.cos(th[j])
             assert p[j, 0] == pytest.approx(ur, rel=1e-14)
             assert p[j, 1] == pytest.approx(ut, rel=1e-14)
+
+
+def where_exp_moments(s):
+    """The reference: both branches evaluated everywhere, then selected."""
+    s = np.asarray(s, dtype=np.complex128)
+    small = np.abs(s) < 0.5
+    safe = np.where(small, 1.0, s)
+    es = np.exp(s)
+    E_big = (es - 1.0) / safe
+    G_big = (safe * es - es + 1.0) / (safe * safe)
+    E_small = np.zeros_like(s)
+    G_small = np.zeros_like(s)
+    for k in range(18, -1, -1):
+        E_small = E_small * s + 1.0 / math.factorial(k + 1)
+        G_small = G_small * s + (k + 1.0) / math.factorial(k + 2)
+    return np.where(small, E_small, E_big), np.where(small, G_small, G_big)
+
+
+class TestExpMoments:
+    @pytest.mark.parametrize("K, N", [(565, 97), (1024, 35), (2048, 35), (300, 1024)])
+    def test_matches_where_version_on_mode_weight_arguments(self, rng, K, N):
+        th = np.sort(rng.uniform(0, 2 * np.pi, size=K))
+        delta = np.diff(np.concatenate([th, [th[0] + 2 * np.pi]]))
+        ns = np.arange(-N, N + 1)
+        s = -1j * ns[:, None] * delta[None, :]
+        E, G = _exp_moments(s)
+        E_ref, G_ref = where_exp_moments(s)
+        assert np.array_equal(E, E_ref)
+        assert np.array_equal(G, G_ref)
+
+    def test_matches_where_version_across_the_branch_switch(self, rng):
+        radius = 0.5 * (1.0 + np.concatenate(
+            [[0.0, -1e-16, 1e-16, -1.0], np.linspace(-0.2, 0.2, 401)]
+        ))
+        angle = rng.uniform(-np.pi, np.pi, size=len(radius))
+        s = radius * np.exp(1j * angle)
+        s = np.concatenate([s, -1j * radius, radius])
+        assert np.any(np.abs(s) < 0.5) and np.any(np.abs(s) >= 0.5)
+        for got, want in zip(_exp_moments(s), where_exp_moments(s)):
+            assert np.array_equal(got, want)
 
 
 class TestBoundaryForm:

@@ -1,17 +1,24 @@
 """Mesh generation, refinement, marking, and the text format."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elastodtn import example1_mesh, example2_mesh
+from elastodtn import example1_config, example1_mesh, example2_mesh
+from elastodtn.assembly import element_matrices
 from elastodtn.errors import (
     InvalidRadii,
     NonConforming,
     OrientationError,
     ParseError,
+    SingularElement,
     ThetaOutOfRange,
 )
 from elastodtn.mesh import (
+    INTERIOR,
     OBSTACLE,
     OUTER,
     Mesh,
@@ -207,7 +214,7 @@ class TestTextFormat:
         with pytest.raises(OrientationError):
             load_mesh(path)
         fixed = load_mesh(path, fix_orientation=True)
-        assert np.all(fixed.signed_areas() > 0)
+        assert np.all(fixed.areas > 0)
 
     @pytest.mark.parametrize(
         "mutation, message_part",
@@ -278,9 +285,27 @@ class TestMeshClassInvariants:
 
     def test_refinement_edge_is_longest(self):
         m = generate_annulus(0.5, 1.0, 8, 1)
-        lengths = m.edge_lengths()
+        lengths = m.edge_lengths
         tri_lengths = lengths[m.tri_edges]
         assert np.allclose(tri_lengths[:, 0], tri_lengths.max(axis=1))
+
+    @pytest.mark.parametrize("name", ["areas", "gradients", "edge_lengths", "diameters"])
+    def test_cached_geometry_is_read_only(self, name):
+        m = generate_annulus(0.5, 1.0, 8, 1)
+        cached = getattr(m, name)
+        assert getattr(m, name) is cached
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+    def test_singular_element(self):
+        # counterclockwise, so the mesh is accepted, but with area 5e-18
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-17]])
+        m = Mesh(verts, np.array([[0, 1, 2]]), np.full(3, OUTER, dtype=np.int8))
+        assert 0.0 < m.areas[0] < 1e-16
+        with pytest.raises(SingularElement):
+            m.gradients
+        with pytest.raises(SingularElement):
+            element_matrices(m, example1_config(N=0))
 
 
 def loop_split(mesh, edge_marked):
@@ -342,3 +367,61 @@ class TestSplitMatchesLoop:
     def test_refine_all(self, make_mesh):
         m = make_mesh()
         self.assert_same(refine_all(m), loop_split(m, np.ones(len(m.edges), dtype=bool)))
+
+
+# -- refinement properties over random marking sequences ---------------------
+
+
+@functools.cache
+def initial_mesh(example):
+    return example1_mesh() if example == 1 else example2_mesh()
+
+
+def cap_area(a, m, b):
+    """Area of the triangle (a, m, b), one row per edge."""
+    u, v = m - a, b - a
+    return 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(example=st.sampled_from([1, 2]), data=st.data())
+def test_refinement_properties(example, data):
+    """Random marking sequences keep the mesh conforming with a constant
+    Euler characteristic, change the area only by the caps of projected
+    boundary midpoints, and put a new vertex first in every child."""
+    m = initial_mesh(example)
+    euler = m.euler_characteristic()
+    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+        n = len(m.triangles)
+        marked = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40), label="marked")
+        )
+        edge_marked = np.zeros(len(m.edges), dtype=bool)
+        edge_marked[m.tri_edges[marked, 0]] = True
+        _propagate(m, edge_marked)
+        refined = refine(m, marked)
+
+        # (a) conforming: every edge with one triangle lies on the boundary
+        on_boundary = refined.edge_tris[:, 1] < 0
+        assert np.all(refined.edge_tags[on_boundary] != INTERIOR)
+        assert np.all(refined.edge_tags[~on_boundary] == INTERIOR)
+        assert refined.euler_characteristic() == euler
+
+        # (b) the area moves by the caps between chord and projected midpoint
+        split = np.flatnonzero(edge_marked)
+        a = m.vertices[m.edges[split, 0]]
+        b = m.vertices[m.edges[split, 1]]
+        mid = refined.vertices[len(m.vertices):]
+        assert len(mid) == len(split)
+        caps = cap_area(a, mid, b)
+        tags = m.edge_tags[split]
+        gain = caps[tags == OUTER].sum()
+        if m.obstacle_radius is not None:
+            gain -= caps[tags == OBSTACLE].sum()
+        total = m.areas.sum()
+        assert refined.areas.sum() - total == pytest.approx(gain, abs=1e-12 * total)
+
+        # (c) vertex 0 of every child is the new midpoint
+        children = (refined.triangles >= len(m.vertices)).any(axis=1)
+        assert np.all(refined.triangles[children, 0] >= len(m.vertices))
+        m = refined
