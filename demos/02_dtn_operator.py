@@ -22,7 +22,7 @@ spec = build_spectrum(cfg)
 
 print("mode matrices (note diagonal even in n, off-diagonal odd):")
 for n in (0, 1, -1, 4):
-    print(f"M_{n} =\n{np.round(spec.modes[n], 4)}")
+    print(f"M_{n} =\n{np.round(spec.matrix_stack()[cfg.N + n], 4)}")
 
 # --- trace coefficients in closed form --------------------------------------
 # A finite element trace is piecewise linear in the angle; its Fourier

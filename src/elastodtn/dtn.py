@@ -19,19 +19,23 @@ so no quadrature tolerance enters the operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyBoundary, InvalidParameter, InvalidRadii, NodeSetMismatch
-from .specfun import ModeScalars, mode_scalars
+from .mesh import format_rows
+from .specfun import ModeScalars, mode_scalar_arrays, mode_scalars
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class DtnSpectrum:
-    """Per-mode DtN matrices for |n| <= truncation_n, plus their scalars."""
+    """Truncated DtN operator of order N = truncation_n, as read-only arrays:
+    matrices (2N+1, 2, 2) with M_n at row N + n, and alpha1, alpha2 and
+    lambda_n of length N + 1 with the scalars of |n| = m at index m."""
 
     truncation_n: int
     radius: float
@@ -40,15 +44,26 @@ class DtnSpectrum:
     mu: float
     kappa1: float
     kappa2: float
-    modes: dict[int, np.ndarray]
-    scalars: dict[int, ModeScalars]
+    matrices: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    lambda_n: np.ndarray
 
     def mode_numbers(self) -> np.ndarray:
         return np.arange(-self.truncation_n, self.truncation_n + 1)
 
     def matrix_stack(self) -> np.ndarray:
         """(2N+1, 2, 2) array ordered n = -N..N."""
-        return np.stack([self.modes[int(n)] for n in self.mode_numbers()])
+        return self.matrices
+
+    @cached_property
+    def scalars(self) -> dict[int, ModeScalars]:
+        """Per-mode view of the scalar arrays.  perfbench's spectrum_arrays is
+        its only reader and indexes it once per mode, hence the cache."""
+        ns = self.mode_numbers()
+        cols = (a[np.abs(ns)].tolist() for a in (self.alpha1, self.alpha2, self.lambda_n))
+        return {n: ModeScalars(n, self.kappa1, self.kappa2, self.radius, *s)
+                for n, *s in zip(ns.tolist(), *cols)}
 
 
 @dataclass
@@ -63,20 +78,17 @@ class BoundaryTrace:
     values: np.ndarray
 
 
-def _mode_matrix(n: int, ms: ModeScalars, omega: float, mu: float, radius: float) -> np.ndarray:
-    """M_n from the simplified entry formulas, given the scalars of |n|."""
-    L = ms.lambda_n
+def _mode_matrices(ns, alpha1, alpha2, L, omega, mu, R) -> np.ndarray:
+    """M_n for every n in ns from the simplified entry formulas, given
+    alpha_1, alpha_2 and Lambda of each |n| in the same order."""
     w2 = omega * omega
-    R = radius
-    n12 = -(1j * n * mu / R) * L + (1j * n / R) * w2
-    M = np.array(
-        [
-            [-(mu / R) * L + ms.alpha2 * w2, n12],
-            [-n12, -(mu / R) * L + ms.alpha1 * w2],
-        ],
-        dtype=np.complex128,
-    )
-    return M / L
+    n12 = -(1j * ns * mu / R) * L + (1j * ns / R) * w2
+    M = np.empty((len(ns), 2, 2), dtype=np.complex128)
+    M[:, 0, 0] = -(mu / R) * L + alpha2 * w2
+    M[:, 0, 1] = n12
+    M[:, 1, 0] = -n12
+    M[:, 1, 1] = -(mu / R) * L + alpha1 * w2
+    return M / L[:, None, None]
 
 
 def mode_matrix(n: int, omega: float, lam: float, mu: float, radius: float) -> np.ndarray:
@@ -84,14 +96,16 @@ def mode_matrix(n: int, omega: float, lam: float, mu: float, radius: float) -> n
     kappa1 = omega / math.sqrt(lam + 2.0 * mu)
     kappa2 = omega / math.sqrt(mu)
     ms = mode_scalars(n, kappa1, kappa2, radius)
-    return _mode_matrix(n, ms, omega, mu, radius)
+    scalars = np.array([[ms.alpha1], [ms.alpha2], [ms.lambda_n]])
+    return _mode_matrices(np.array([n]), *scalars, omega, mu, radius)[0]
 
 
 def build_spectrum(config) -> DtnSpectrum:
     """All mode matrices |n| <= config.N for the given material and radius.
 
     config only needs attributes omega, lam, mu, R and N.  The scalars
-    depend on |n| only, so they are computed once for each pair +-n.
+    depend on |n| only: one Bessel ladder per wavenumber gives them for
+    every m <= N, and each M_n reads the scalars of |n|.
     """
     N = int(config.N)
     if N < 0:
@@ -99,12 +113,13 @@ def build_spectrum(config) -> DtnSpectrum:
     omega, lam, mu, R = config.omega, config.lam, config.mu, config.R
     kappa1 = omega / math.sqrt(lam + 2.0 * mu)
     kappa2 = omega / math.sqrt(mu)
-    # highest order first, so each argument's Bessel ladder is built once
-    per_m = [mode_scalars(m, kappa1, kappa2, R) for m in range(N, -1, -1)][::-1]
-    ns = range(-N, N + 1)
-    modes = {n: _mode_matrix(n, per_m[abs(n)], omega, mu, R) for n in ns}
-    scalars = {n: per_m[n] if n >= 0 else replace(per_m[-n], n=n) for n in ns}
-    return DtnSpectrum(N, R, omega, lam, mu, kappa1, kappa2, modes, scalars)
+    a1, a2, lambda_n = mode_scalar_arrays(np.arange(N + 1), kappa1, kappa2, R)
+    ns = np.arange(-N, N + 1)
+    m = np.abs(ns)
+    M = _mode_matrices(ns, a1[m], a2[m], lambda_n[m], omega, mu, R)
+    for a in (M, a1, a2, lambda_n):
+        a.flags.writeable = False
+    return DtnSpectrum(N, R, omega, lam, mu, kappa1, kappa2, M, a1, a2, lambda_n)
 
 
 def _exp_moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +158,7 @@ def mode_weights(node_angles: np.ndarray, ns: np.ndarray) -> np.ndarray:
     if theta.size < 3:
         raise EmptyBoundary(f"need at least 3 boundary nodes, got {theta.size}")
     if np.any(np.diff(theta) <= 0.0):
-        raise ValueError("node angles must be strictly increasing")
+        raise InvalidParameter("node angles must be strictly increasing")
     ns = np.asarray(ns, dtype=np.float64)
     delta = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
     s = -1j * ns[:, None] * delta[None, :]
@@ -195,12 +210,9 @@ def dtn_boundary_form(
         trace_u.node_angles, trace_v.node_angles, rtol=0.0, atol=1e-12
     ):
         raise NodeSetMismatch("traces are sampled on different boundary node sets")
-    N = spectrum.truncation_n
-    cu = fourier_coefficients(trace_u, N)
-    cv = fourier_coefficients(trace_v, N)
-    total = 0.0 + 0.0j
-    for n in range(-N, N + 1):
-        total += np.dot(spectrum.modes[n] @ cu[n], cv[n].conj())
+    ns = spectrum.mode_numbers()
+    cu, cv = (mode_weights(t.node_angles, ns) @ polar_components(t) for t in (trace_u, trace_v))
+    total = np.einsum("mab,mb,ma->", spectrum.matrix_stack(), cu, cv.conj())
     return TWO_PI * spectrum.radius * complex(total)
 
 
@@ -237,17 +249,10 @@ def select_truncation(
 
 def spectrum_table(spectrum: DtnSpectrum) -> str:
     """Plain-text dump of the mode matrices for cross-validation."""
-    lines = [
-        "# n  Re(M11) Im(M11)  Re(M12) Im(M12)  Re(M21) Im(M21)  Re(M22) Im(M22)"
-        "  Re(Lambda) Im(Lambda)"
-    ]
-    for n in range(-spectrum.truncation_n, spectrum.truncation_n + 1):
-        M = spectrum.modes[n]
-        L = spectrum.scalars[n].lambda_n
-        entries = " ".join(
-            f"{M[i, j].real:+.12e} {M[i, j].imag:+.12e}"
-            for i in range(2)
-            for j in range(2)
-        )
-        lines.append(f"{n:d} {entries} {L.real:+.12e} {L.imag:+.12e}")
-    return "\n".join(lines) + "\n"
+    ns = spectrum.mode_numbers()
+    L = spectrum.lambda_n[np.abs(ns)]
+    # complex128 viewed as float64 interleaves Re and Im, in column order
+    values = np.column_stack([spectrum.matrix_stack().reshape(-1, 4), L]).view(np.float64)
+    header = ("# n  Re(M11) Im(M11)  Re(M12) Im(M12)  Re(M21) Im(M21)  Re(M22) Im(M22)"
+              "  Re(Lambda) Im(Lambda)\n")
+    return header + format_rows("%d" + " %+.12e" * 10 + "\n", ns, *values.T)

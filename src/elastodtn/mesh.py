@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    InvalidParameter,
     InvalidRadii,
     NonConforming,
     OrientationError,
@@ -238,9 +239,9 @@ def generate_annulus(
     if not (0.0 < R_hat_inner < R):
         raise InvalidRadii(f"need 0 < inner < R, got inner={R_hat_inner}, R={R}")
     if angular_segments < 8:
-        raise ValueError("angular_segments must be at least 8")
+        raise InvalidParameter("angular_segments must be at least 8")
     if radial_layers < 1:
-        raise ValueError("radial_layers must be at least 1")
+        raise InvalidParameter("radial_layers must be at least 1")
     ns, nl = angular_segments, radial_layers
     radii = np.linspace(R_hat_inner, R, nl + 1)
     theta = 2.0 * np.pi * np.arange(ns) / ns
@@ -287,9 +288,9 @@ def mark(etas, theta: float) -> MarkedSet:
     if not (0.0 < theta < 1.0):
         raise ThetaOutOfRange(f"theta must lie in (0, 1), got {theta}")
     if etas.size == 0:
-        raise ValueError("need at least one triangle")
+        raise InvalidParameter("need at least one triangle")
     if np.any(etas < 0.0):
-        raise ValueError("estimator values must be nonnegative")
+        raise InvalidParameter("estimator values must be nonnegative")
     top = etas.max()
     if top == 0.0:
         return np.empty(0, dtype=np.int64)
@@ -334,7 +335,7 @@ def refine(mesh: Mesh, marked: MarkedSet) -> Mesh:
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= len(mesh.triangles):
-        raise ValueError("marked triangle index out of range")
+        raise InvalidParameter("marked triangle index out of range")
     edge_marked = np.zeros(len(mesh.edges), dtype=bool)
     edge_marked[mesh.tri_edges[marked, 0]] = True
     _propagate(mesh, edge_marked)

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMode, NonPositiveArgument, OrderCapExceeded, OverflowRegime
+from .errors import (DegenerateMode, InvalidParameter, NonPositiveArgument,
+                     OrderCapExceeded, OverflowRegime)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310421
 
@@ -57,8 +58,8 @@ _ASYMPTOTIC_SWITCH = 25.0
 _ASYMPTOTIC_TERMS = 22
 _CHUNK = 1 << 16
 
-# ladders are pure functions of (n_max, z); cache grows by doubling so that
-# ascending-order sweeps stay O(n) overall
+# ladders are pure functions of (n_max, z); single-order callers (mode_scalars,
+# hankel1 per point) reuse them, and the cache grows by doubling
 _ladder_cache: dict[float, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
@@ -191,7 +192,7 @@ def bessel_jy(n_max: int, z: float) -> list[BesselPair]:
         reached.  The caller must lower the requested order.
     """
     if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+        raise InvalidParameter("n_max must be nonnegative")
     J, mant, slog = _ladder(n_max, z)
     with np.errstate(over="ignore"):
         total = slog + np.log(np.maximum(np.abs(mant), 1e-320))
@@ -224,45 +225,46 @@ def hankel1(n: int, z: float) -> HankelValue:
     return HankelValue(n, z, h, hp)
 
 
-def _log_ratio_prev(m: int, z: float) -> complex:
-    """H_{m-1}(z) / H_m(z) for m >= 1, safe at any scale."""
-    J, mant, slog = _ladder(m, z)
-    damp = math.exp(-slog[m]) if slog[m] < 700.0 else 0.0
-    shift = math.exp(min(slog[m - 1] - slog[m], 0.0))
-    num = complex(J[m - 1] * damp, mant[m - 1] * shift)
-    den = complex(J[m] * damp, mant[m])
-    return num / den
-
-
-def _alpha(m: int, kappa: float, radius: float) -> complex:
+def _alphas(m_max: int, kappa: float, radius: float) -> np.ndarray:
+    """alpha_m = kappa H_m'(kappa r) / H_m(kappa r) for m = 0..m_max from one
+    ladder: H_0' = -H_1, and H_m'/H_m = H_{m-1}/H_m - m/z for m >= 1, with
+    both values scaled by the log-scale of Y_m (J damped, the Y_{m-1}
+    mantissa shifted), so the ratio stays finite past the overflow of Y_m."""
     z = kappa * radius
-    if m == 0:
-        J, mant, slog = _ladder(1, z)
-        h0 = complex(J[0], mant[0])
-        h1 = complex(J[1], mant[1] * math.exp(slog[1]))
-        return kappa * (-h1 / h0)
-    return kappa * (_log_ratio_prev(m, z) - m / z)
+    J, mant, slog = _ladder(max(m_max, 1), z)
+    damp = np.exp(-slog[1:])  # underflows to 0 beyond the first rescale
+    shift = np.exp(np.minimum(slog[:-1] - slog[1:], 0.0))
+    num = J[:-1] * damp + 1j * (mant[:-1] * shift)  # H_{m-1}, num[0] = H_0
+    den = J[1:] * damp + 1j * mant[1:]  # H_m, den[0] = H_1
+    ratio = np.concatenate([-den[:1] / num[:1], num / den - np.arange(1, J.size) / z])
+    return kappa * ratio[: m_max + 1]
+
+
+def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
+    """alpha_1, alpha_2 and Lambda at the orders ms = |n| >= 0, from one ladder
+    per wavenumber.  Raises DegenerateMode if any |Lambda| < 1e-14 (that mode
+    matrix would be singular; an exceptional frequency/radius pair)."""
+    if not (0.0 < kappa1 < kappa2):
+        raise InvalidParameter("wavenumbers must satisfy 0 < kappa1 < kappa2")
+    if not radius > 0.0:
+        raise NonPositiveArgument("radius must be positive")
+    ms = np.asarray(ms)
+    a1 = _alphas(int(ms.max()), kappa1, radius)[ms]
+    a2 = _alphas(int(ms.max()), kappa2, radius)[ms]
+    lam = (ms / radius) ** 2 - a1 * a2
+    bad = np.flatnonzero(np.abs(lam) < 1e-14)
+    if bad.size:
+        k = bad[0]
+        raise DegenerateMode(f"Lambda_{ms[k]} = {complex(lam[k])} is numerically "
+                             f"singular at radius {radius}")
+    return a1, a2, lam
 
 
 def mode_scalars(n: int, kappa1: float, kappa2: float, radius: float) -> ModeScalars:
-    """Scattering scalars alpha_{1n}, alpha_{2n}, Lambda_n at a given radius.
-
-    Raises DegenerateMode if |Lambda_n| < 1e-14 (the mode matrix would be
-    singular; an exceptional frequency/radius pair).
-    """
-    if not (0.0 < kappa1 < kappa2):
-        raise ValueError("wavenumbers must satisfy 0 < kappa1 < kappa2")
-    if not radius > 0.0:
-        raise NonPositiveArgument("radius must be positive")
-    m = abs(n)
-    a1 = _alpha(m, kappa1, radius)
-    a2 = _alpha(m, kappa2, radius)
-    lam = (m / radius) ** 2 - a1 * a2
-    if abs(lam) < 1e-14:
-        raise DegenerateMode(
-            f"Lambda_{n} = {lam} is numerically singular at radius {radius}"
-        )
-    return ModeScalars(n, kappa1, kappa2, radius, a1, a2, lam)
+    """Scattering scalars alpha_{1n}, alpha_{2n}, Lambda_n at a given radius:
+    ``mode_scalar_arrays`` at the single order |n|."""
+    scalars = mode_scalar_arrays([abs(n)], kappa1, kappa2, radius)
+    return ModeScalars(n, kappa1, kappa2, radius, *(complex(a[0]) for a in scalars))
 
 
 def _hankel_arg_ratio(m: int, kappa: float, r_num: float, r_den: float) -> complex:
@@ -285,7 +287,7 @@ def hankel_ratio_gap(
     truncation error exponentially small.
     """
     if not (0.0 < R_hat < R):
-        raise ValueError("radii must satisfy 0 < R_hat < R")
+        raise InvalidParameter("radii must satisfy 0 < R_hat < R")
     if kappa1 == kappa2:
         return 0.0
     m = abs(n)

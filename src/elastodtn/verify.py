@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ProblemConfig, SolutionField
-from .errors import InsufficientData, OriginEvaluation
+from .errors import InsufficientData, InvalidParameter, OriginEvaluation
 from .specfun import hankel01
 
 # 7-point degree-5 rule on the reference triangle (barycentric, weights sum 1)
@@ -207,7 +207,7 @@ def fit_rate(history, use: str = "e_h") -> ConvergenceFit:
     """Least-squares slope of log(error) vs log(DoF), skipping the first
     (pre-asymptotic) record.  use selects 'e_h' or 'eps_h'."""
     if use not in ("e_h", "eps_h"):
-        raise ValueError("use must be 'e_h' or 'eps_h'")
+        raise InvalidParameter("use must be 'e_h' or 'eps_h'")
     pairs = []
     for rec in history.records[1:]:
         err = getattr(rec, use)

@@ -115,7 +115,7 @@ def test_criterion_04_exact_dtn_identity():
     for omega in (math.pi, 1.0, 2 * math.pi):
         cfg = example1_config(omega=omega, N=0)
         bu, u_polar = exact_boundary_operator_example1(cfg)
-        got = build_spectrum(cfg).modes[0] @ u_polar
+        got = build_spectrum(cfg).matrix_stack()[0] @ u_polar  # row N + n, N = n = 0
         worst = max(worst, float(np.max(np.abs(got - bu)) / np.max(np.abs(bu))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8

@@ -1,6 +1,13 @@
-"""The package's public names."""
+"""The package's public names, and the library error on bad input."""
+
+import math
+
+import numpy as np
+import pytest
 
 import elastodtn
+from elastodtn import dtn, mesh, specfun, verify
+from elastodtn.errors import ElastoDtnError
 
 
 def test_every_public_name_resolves():
@@ -13,3 +20,23 @@ def test_star_import():
     namespace = {}
     exec("from elastodtn import *", namespace)
     assert set(elastodtn.__all__) <= set(namespace)
+
+
+BAD_INPUTS = {
+    "dtn.mode_weights": lambda: dtn.mode_weights(np.array([0.0, 1.0, 1.0, 2.0]), np.arange(3)),
+    "specfun.bessel_jy": lambda: specfun.bessel_jy(-1, 1.0),
+    "specfun.mode_scalars": lambda: specfun.mode_scalars(3, math.pi, math.pi / 2, 1.0),
+    "specfun.hankel_ratio_gap": lambda: specfun.hankel_ratio_gap(10, 1.0, 2.0, 1.0, 0.5),
+    "mesh.generate_annulus segments": lambda: mesh.generate_annulus(0.5, 1.0, 4, 1),
+    "mesh.generate_annulus layers": lambda: mesh.generate_annulus(0.5, 1.0, 16, 0),
+    "mesh.mark empty": lambda: mesh.mark(np.array([]), 0.5),
+    "mesh.mark negative": lambda: mesh.mark(np.array([-1.0, 1.0]), 0.5),
+    "mesh.refine": lambda: mesh.refine(mesh.generate_annulus(0.5, 1.0, 16, 1), [10**6]),
+    "verify.fit_rate": lambda: verify.fit_rate(None, use="e"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_library_error(call):
+    with pytest.raises(ElastoDtnError):
+        call()

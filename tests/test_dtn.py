@@ -22,10 +22,12 @@ from elastodtn.dtn import (
     mode_weights,
     polar_components,
     select_truncation,
+    spectrum_table,
     trace_l2_sq,
     truncation_error,
 )
-from elastodtn.errors import EmptyBoundary, InvalidRadii, NodeSetMismatch
+from elastodtn import specfun
+from elastodtn.errors import DegenerateMode, EmptyBoundary, InvalidRadii, NodeSetMismatch
 from elastodtn.specfun import hankel1, mode_scalars
 from elastodtn import example1_config
 
@@ -58,7 +60,7 @@ class TestModeMatrices:
     def test_n0_has_zero_offdiagonals(self):
         cfg = example1_config(N=0)
         spec = build_spectrum(cfg)
-        M0 = spec.modes[0]
+        M0 = spec.matrix_stack()[0]  # row N + n, N = n = 0
         assert M0[0, 1] == 0 and M0[1, 0] == 0
 
     def test_simplified_equals_unsimplified_n5(self):
@@ -86,7 +88,8 @@ class TestModeMatrices:
 
     def test_build_spectrum_covers_signed_modes(self):
         spec = build_spectrum(example1_config(N=7))
-        assert sorted(spec.modes) == list(range(-7, 8))
+        assert spec.mode_numbers().tolist() == list(range(-7, 8))
+        assert spec.matrix_stack().shape == (15, 2, 2)
 
     def test_build_spectrum_matches_single_modes_exactly(self):
         cfg = example1_config(N=12)
@@ -94,9 +97,79 @@ class TestModeMatrices:
         k1, k2 = cfg.kappa1, cfg.kappa2
         for n in range(-12, 13):
             single = mode_matrix(n, cfg.omega, cfg.lam, cfg.mu, cfg.R)
-            assert np.array_equal(spec.modes[n], single)
+            assert np.array_equal(spec.matrix_stack()[12 + n], single)
             assert spec.scalars[n] == mode_scalars(n, k1, k2, cfg.R)
-        assert list(spec.modes) == list(range(-12, 13))
+        assert list(spec.scalars) == list(range(-12, 13))
+
+    def test_arrays_are_read_only_and_the_view_is_cached(self):
+        spec = build_spectrum(example1_config(N=4))
+        assert spec.matrix_stack().shape == (9, 2, 2)
+        for a in (spec.matrix_stack(), spec.alpha1, spec.alpha2, spec.lambda_n):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert spec.scalars is spec.scalars
+
+
+
+class TestDegenerateMode:
+    """At R = 1, alpha_13 = alpha_23 = 3 makes Lambda_3 = 9 - 3 * 3 = 0."""
+
+    @pytest.fixture
+    def lambda3_zero(self, monkeypatch):
+        alphas = specfun._alphas
+
+        def patched(m_max, kappa, radius):
+            a = alphas(m_max, kappa, radius)
+            if m_max >= 3:
+                a[3] = 3.0
+            return a
+
+        monkeypatch.setattr(specfun, "_alphas", patched)
+
+    def test_build_spectrum_raises(self, lambda3_zero):
+        with pytest.raises(DegenerateMode, match="Lambda_3 "):
+            build_spectrum(example1_config(N=5))
+
+    def test_mode_scalars_raise_only_for_their_own_order(self, lambda3_zero):
+        k1, k2 = math.pi / 2, math.pi
+        for n in (-3, 3):
+            with pytest.raises(DegenerateMode, match="Lambda_3 "):
+                mode_scalars(n, k1, k2, 1.0)
+            with pytest.raises(DegenerateMode):
+                mode_matrix(n, math.pi, 2.0, 1.0, 1.0)
+        for n in (0, 2, 4, -5):
+            assert mode_scalars(n, k1, k2, 1.0).lambda_n != 0
+            assert np.isfinite(mode_matrix(n, math.pi, 2.0, 1.0, 1.0)).all()
+
+
+def reference_spectrum_table(spectrum):
+    """The per-mode f-string loop that spectrum_table replaced."""
+    lines = [
+        "# n  Re(M11) Im(M11)  Re(M12) Im(M12)  Re(M21) Im(M21)  Re(M22) Im(M22)"
+        "  Re(Lambda) Im(Lambda)"
+    ]
+    N = spectrum.truncation_n
+    for n in range(-N, N + 1):
+        M = spectrum.matrix_stack()[N + n]
+        L = spectrum.lambda_n[abs(n)]
+        entries = " ".join(
+            f"{M[i, j].real:+.12e} {M[i, j].imag:+.12e}"
+            for i in range(2)
+            for j in range(2)
+        )
+        lines.append(f"{n:d} {entries} {L.real:+.12e} {L.imag:+.12e}")
+    return "\n".join(lines) + "\n"
+
+
+class TestSpectrumTable:
+    @pytest.mark.parametrize(
+        "cfg", [example1_config(), example1_config(omega=1000.0, N=1024)], ids=["ex1", "k1000"]
+    )
+    def test_bytes_match_the_per_mode_loop(self, cfg):
+        spec = build_spectrum(cfg)
+        M0 = spec.matrix_stack()[cfg.N]
+        assert M0[0, 1] == 0 and M0[1, 0] == 0
+        assert spectrum_table(spec) == reference_spectrum_table(spec)
 
 
 def equispaced_trace(n_nodes, values_fn):
@@ -234,7 +307,7 @@ class TestBoundaryForm:
         cv = fourier_coefficients(tv, 6)
         want = 0.0 + 0.0j
         for n in range(-6, 7):
-            Mu = self.spec.modes[n] @ cu[n]
+            Mu = self.spec.matrix_stack()[6 + n] @ cu[n]
             want += Mu[0] * np.conj(cv[n][0]) + Mu[1] * np.conj(cv[n][1])
         want *= 2 * np.pi * self.spec.radius
         assert got == pytest.approx(want, rel=1e-12)
@@ -295,7 +368,7 @@ class TestBoundaryForm:
         got = dtn_boundary_form(spec, tu, tv)
         cu = fourier_coefficients(tu, 6)
         single = 2 * np.pi * spec.radius * np.dot(
-            spec.modes[n_mode] @ cu[n_mode], np.conj(cu[n_mode])
+            spec.matrix_stack()[6 + n_mode] @ cu[n_mode], np.conj(cu[n_mode])
         )
         # off-mode content is interpolation spill-over, quadratically small
         assert abs(got - single) <= 5e-3 * abs(got)

@@ -181,7 +181,7 @@ class TestBoundaryJump:
         # oracle: total non-axisymmetric content of the trace under T_N
         coeffs = fourier_coefficients(outer_trace(mesh, vals), 35)
         spill = sum(
-            float(np.linalg.norm(np.abs(spec35.modes[n] @ coeffs[n])))
+            float(np.linalg.norm(np.abs(spec35.matrix_stack()[35 + n] @ coeffs[n])))
             for n in range(-35, 36)
             if n != 0
         )

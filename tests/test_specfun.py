@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
+from elastodtn import example1_config
+from elastodtn.dtn import build_spectrum
 from elastodtn.errors import NonPositiveArgument, OrderCapExceeded, OverflowRegime
 from elastodtn.specfun import (
     bessel_jy,
@@ -264,18 +266,23 @@ class TestModeScalarsHighFrequency:
 
     @pytest.mark.parametrize("k2", [289.4, 1000.0])
     def test_alpha_against_scipy(self, k2):
+        """Both inputs: mode_scalars one order at a time, and the arrays
+        build_spectrum makes (lam = 2, mu = 1 give kappa1 = omega / 2)."""
         k1 = k2 / 2.0
         ns = np.arange(1025)
-        got = np.array(
+        single = np.array(
             [[s.alpha1, s.alpha2] for s in (mode_scalars(int(n), k1, k2, 1.0) for n in ns)]
         )
+        spec = build_spectrum(example1_config(omega=k2, N=1024))
+        arrays = np.stack([spec.alpha1, spec.alpha2], axis=1)
         with np.errstate(invalid="ignore", over="ignore"):
             want = np.stack(
                 [k * sc.h1vp(ns, k) / sc.hankel1(ns, k) for k in (k1, k2)], axis=1
             )
         ok = np.isfinite(want)
         assert ok[: int(k2) + 100].all()  # scipy is finite well past the turning point
-        assert _relerr(got[ok], want[ok]) <= 1e-10
+        for got in (single, arrays):
+            assert _relerr(got[ok], want[ok]) <= 1e-10
 
     def test_mpmath_alpha_spot_values(self):
         mpmath = pytest.importorskip("mpmath")

@@ -100,7 +100,7 @@ class TestDtnIdentity:
         cfg = example1_config(omega=omega, N=0)
         spec = build_spectrum(cfg)
         bu, u_polar = exact_boundary_operator_example1(cfg)
-        got = spec.modes[0] @ u_polar
+        got = spec.matrix_stack()[0] @ u_polar  # row N + n, N = n = 0
         assert np.max(np.abs(got - bu)) <= 1e-8 * np.max(np.abs(bu))
 
 
