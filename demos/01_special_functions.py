@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from elastodtn import bessel_jy, hankel1, hankel_ratio_gap, mode_scalars
+from elastodtn import bessel_jy, hankel_ratio_gap, mode_scalar_arrays
 
 np.set_printoptions(precision=6)
 
@@ -18,20 +18,25 @@ np.set_printoptions(precision=6)
 # broken recurrence shows up here immediately.
 
 z = 3.0
-pairs = bessel_jy(8, z)
+J, Y = bessel_jy(8, z)  # orders 0..8 from one ladder
 print("n, J_n(3), Y_n(3):")
-for p in pairs[:5]:
-    print(f"  {p.order}  {p.j:+.12f}  {p.y:+.12f}")
+for n in range(5):
+    print(f"  {n}  {J[n]:+.12f}  {Y[n]:+.12f}")
 
-wronskian = [
-    pairs[n + 1].j * pairs[n].y - pairs[n].j * pairs[n + 1].y for n in range(8)
-]
-print("max |Wronskian - 2/(pi z)| =", max(abs(w - 2 / (np.pi * z)) for w in wronskian))
+wronskian = J[1:] * Y[:-1] - J[:-1] * Y[1:]
+print("max |Wronskian - 2/(pi z)| =", np.max(np.abs(wronskian - 2 / (np.pi * z))))
+
 
 # --- derivatives -----------------------------------------------------------
-hv = hankel1(7, 4.0)
-fd = (hankel1(7, 4.0 + 1e-6).h - hankel1(7, 4.0 - 1e-6).h) / 2e-6
-print(f"\nH_7'(4.0) = {hv.h_prime:.10f}, finite difference {fd:.10f}")
+# H_n' = H_{n-1} - (n/z) H_n needs only the ladder at z itself.
+def hankel_ladder(n_max, z):
+    J, Y = bessel_jy(n_max, z)
+    return J + 1j * Y
+
+
+H = hankel_ladder(7, 4.0)
+fd = (hankel_ladder(7, 4.0 + 1e-6)[7] - hankel_ladder(7, 4.0 - 1e-6)[7]) / 2e-6
+print(f"\nH_7'(4.0) = {H[6] - 7 / 4.0 * H[7]:.10f}, finite difference {fd:.10f}")
 
 # --- the scattering scalars ------------------------------------------------
 # alpha_jn = kappa_j H_n'(kappa_j r) / H_n(kappa_j r) and
@@ -41,10 +46,11 @@ print(f"\nH_7'(4.0) = {hv.h_prime:.10f}, finite difference {fd:.10f}")
 
 k1, k2 = np.pi / 2, np.pi
 target = (k1**2 + k2**2) / 2
+ns = np.array([8, 32, 128, 512])
+_, _, lambda_n = mode_scalar_arrays(ns, k1, k2, 1.0)  # one ladder per wavenumber
 print("\nn, Lambda_n(1), |Lambda_n - (k1^2+k2^2)/2| * n:")
-for n in (8, 32, 128, 512):
-    ms = mode_scalars(n, k1, k2, 1.0)
-    print(f"  {n:4d}  {ms.lambda_n:+.6f}  {abs(ms.lambda_n - target) * n:.4f}")
+for n, lam in zip(ns, lambda_n):
+    print(f"  {n:4d}  {lam:+.6f}  {abs(lam - target) * n:.4f}")
 
 # Note the order 512 evaluation: |Y_512(pi/2)| ~ 1e1200, yet the ratio
 # arithmetic stays entirely in range.

@@ -34,7 +34,7 @@ from .dtn import (
 )
 from .estimator import EstimateReport, global_estimate
 from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
-from .specfun import bessel_jy, hankel1, hankel_ratio_gap, mode_scalars
+from .specfun import bessel_jy, hankel_ratio_gap, mode_scalar_arrays
 from .verify import ConvergenceFit, exact_solution_example1, fit_rate, helmholtz_check
 
 __version__ = "0.1.0"
@@ -74,9 +74,8 @@ __all__ = [
     "refine_all",
     "save_mesh",
     "bessel_jy",
-    "hankel1",
     "hankel_ratio_gap",
-    "mode_scalars",
+    "mode_scalar_arrays",
     "ConvergenceFit",
     "exact_solution_example1",
     "fit_rate",

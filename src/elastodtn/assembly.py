@@ -120,6 +120,8 @@ class ProblemConfig:
     max_iters: int = 30
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega, self.lam, self.mu, self.R, self.R_hat))):
+            raise InvalidParameter("omega, lam, mu, R and R_hat must be finite")
         if not (self.mu > 0.0 and self.lam + self.mu > 0.0):
             raise InvalidParameter("need mu > 0 and lam + mu > 0")
         if not self.omega > 0.0:

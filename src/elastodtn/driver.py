@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import assembly, estimator, mesh as meshmod, verify
 from .assembly import IncidentWave, ProblemConfig
-from .dtn import build_spectrum, select_truncation, spectrum_table
+from .dtn import DtnSpectrum, build_spectrum, select_truncation, spectrum_table
 from .errors import ElastoDtnError, IterationCapReached
 from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
 
@@ -39,6 +39,7 @@ class RunRecord:
 class RunHistory:
     records: list[RunRecord]
     config: ProblemConfig
+    spectrum: DtnSpectrum  # the one the loop solved with
     mesh: Mesh
     field: assembly.SolutionField
     u_inc_h1: float
@@ -151,14 +152,14 @@ def adaptive_solve(
             raise IterationCapReached(
                 f"eps_h = {report.eps_h:.4g} > tolerance after "
                 f"{config.max_iters} iterations",
-                history=RunHistory(records, config, current, field, u_inc_h1, report),
+                history=RunHistory(records, config, spectrum, current, field, u_inc_h1, report),
             )
         marked = mark(report.eta, config.theta_mark)
         current = refine(current, marked)
         # release the old field, and with it the old mesh's cached
         # geometry, before the next system is factored
         field = report = None
-    return RunHistory(records, config, current, field, u_inc_h1, report)
+    return RunHistory(records, config, spectrum, current, field, u_inc_h1, report)
 
 
 def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> RunHistory:
@@ -176,7 +177,7 @@ def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> Run
         if it < rounds:
             current = refine_all(current)
             field = report = None  # as in adaptive_solve
-    return RunHistory(records, config, current, field, u_inc_h1, report)
+    return RunHistory(records, config, spectrum, current, field, u_inc_h1, report)
 
 
 # -- run artifacts ----------------------------------------------------------
@@ -205,7 +206,7 @@ def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
     )
     if dump_spectrum:
         with open(os.path.join(out_dir, "spectrum.txt"), "w") as fh:
-            fh.write(spectrum_table(build_spectrum(history.config)))
+            fh.write(spectrum_table(history.spectrum))
 
 
 # -- configuration plumbing -------------------------------------------------

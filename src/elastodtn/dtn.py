@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyBoundary, InvalidParameter, InvalidRadii, NodeSetMismatch
 from .mesh import format_rows
-from .specfun import ModeScalars, mode_scalar_arrays, mode_scalars
+from .specfun import ModeScalars, mode_scalar_arrays
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,15 +89,6 @@ def _mode_matrices(ns, alpha1, alpha2, L, omega, mu, R) -> np.ndarray:
     M[:, 1, 0] = -n12
     M[:, 1, 1] = -(mu / R) * L + alpha1 * w2
     return M / L[:, None, None]
-
-
-def mode_matrix(n: int, omega: float, lam: float, mu: float, radius: float) -> np.ndarray:
-    """Single DtN matrix M_n from the simplified entry formulas."""
-    kappa1 = omega / math.sqrt(lam + 2.0 * mu)
-    kappa2 = omega / math.sqrt(mu)
-    ms = mode_scalars(n, kappa1, kappa2, radius)
-    scalars = np.array([[ms.alpha1], [ms.alpha2], [ms.lambda_n]])
-    return _mode_matrices(np.array([n]), *scalars, omega, mu, radius)[0]
 
 
 def build_spectrum(config) -> DtnSpectrum:

@@ -22,7 +22,8 @@ point does not grow with :math:`z`:
 Against ``scipy.special.hankel1`` the relative error of :math:`H_0` and
 :math:`H_1` is at most 3.4e-15 over :math:`z \in [10^{-3}, 2\cdot 10^3]`.
 
-For all orders, the scalar ladder takes
+Orders 0..n_max at one argument come from a single ladder, built afresh on
+every call (results never depend on earlier calls):
 
 * :math:`J_n` by Miller's downward recurrence with the same start rule;
 * :math:`Y_n` by the (upward-stable) forward recurrence from the ``jy01``
@@ -30,8 +31,10 @@ For all orders, the scalar ladder takes
   orders far beyond the overflow point of a plain double remain usable in
   ratios.
 
-Ratios such as :math:`H_n'(z)/H_n(z)` and :math:`H_n(z_1)/H_n(z_2)` are
-formed directly from the scaled representation, which is what keeps the
+``bessel_jy`` returns the ladder as float arrays.  ``mode_scalar_arrays``
+forms :math:`H_n'(z)/H_n(z)` for every requested order from one ladder per
+wavenumber, and ``hankel_ratio_gap`` forms :math:`H_n(z_1)/H_n(z_2)`, both
+directly from the scaled representation, which is what keeps the
 scattering scalars finite at mode numbers where :math:`|Y_n|` alone would
 overflow.
 """
@@ -57,31 +60,6 @@ _LOG_MAX = math.log(np.finfo(np.float64).max)
 _ASYMPTOTIC_SWITCH = 25.0
 _ASYMPTOTIC_TERMS = 22
 _CHUNK = 1 << 16
-
-# ladders are pure functions of (n_max, z); single-order callers (mode_scalars,
-# hankel1 per point) reuse them, and the cache grows by doubling
-_ladder_cache: dict[float, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-@dataclass(frozen=True)
-class BesselPair:
-    """J_n(z) and Y_n(z) at a common order and argument."""
-
-    order: int
-    argument: float
-    j: float
-    y: float
-
-
-@dataclass(frozen=True)
-class HankelValue:
-    """H_n^{(1)}(z) together with its derivative."""
-
-    order: int
-    argument: float
-    h: complex
-    h_prime: complex
-
 
 @dataclass(frozen=True)
 class ModeScalars:
@@ -125,7 +103,16 @@ def _miller_j(n_hi: int, z: float) -> np.ndarray:
     return f[: n_hi + 1] / s
 
 
-def _build_ladder(n_max: int, z: float):
+def _ladder(n_max: int, z: float):
+    """(J, Y-mantissa, Y-logscale) arrays for orders 0..n_max at argument z."""
+    if not math.isfinite(z):
+        raise InvalidParameter(f"argument must be finite, got z={z}")
+    if not z > 0.0:
+        raise NonPositiveArgument(f"argument must be positive, got z={z}")
+    if n_max > _MAX_ORDER:
+        raise OrderCapExceeded(
+            f"order {n_max} exceeds the supported maximum {_MAX_ORDER}"
+        )
     J = _miller_j(n_max, z)
     _, _, y0, y1 = (float(v[0]) for v in _jy01_chunk(np.array([z])))
     mant = np.zeros(n_max + 1)
@@ -148,45 +135,26 @@ def _build_ladder(n_max: int, z: float):
     return J, mant, slog
 
 
-def _ladder(n_max: int, z: float):
-    """Cached (J, Y-mantissa, Y-logscale) arrays for orders 0..n_max."""
-    if not z > 0.0:
-        raise NonPositiveArgument(f"argument must be positive, got z={z}")
-    if n_max > _MAX_ORDER:
-        raise OrderCapExceeded(
-            f"order {n_max} exceeds the supported maximum {_MAX_ORDER}"
-        )
-    key = float(z)
-    hit = _ladder_cache.get(key)
-    if hit is not None and hit[0] >= n_max:
-        n_c, J, mant, slog = hit
-        return J[: n_max + 1], mant[: n_max + 1], slog[: n_max + 1]
-    n_req = min(max(n_max, 2 * hit[0] if hit else 0, 8), _MAX_ORDER)
-    J, mant, slog = _build_ladder(n_req, z)
-    if len(_ladder_cache) > 4096:  # point-cloud sweeps: bound the footprint
-        _ladder_cache.clear()
-    _ladder_cache[key] = (n_req, J, mant, slog)
-    return J[: n_max + 1], mant[: n_max + 1], slog[: n_max + 1]
-
-
-def bessel_jy(n_max: int, z: float) -> list[BesselPair]:
-    """Evaluate (J_n(z), Y_n(z)) for n = 0..n_max.
+def bessel_jy(n_max: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate J_n(z) and Y_n(z) for n = 0..n_max.
 
     Parameters
     ----------
     n_max : int
         Highest order, 0 <= n_max <= 1024.
     z : float
-        Argument, z > 0.
+        Argument, 0 < z < inf.
 
     Returns
     -------
-    list of BesselPair
+    (J, Y) : two float arrays of length n_max + 1, order n at index n
 
     Raises
     ------
     NonPositiveArgument
         If z <= 0.
+    InvalidParameter
+        If n_max < 0 or z is not finite.
     OverflowRegime
         If |Y_n(z)| exceeds the largest finite double before n_max is
         reached.  The caller must lower the requested order.
@@ -202,27 +170,7 @@ def bessel_jy(n_max: int, z: float) -> list[BesselPair]:
             f"|Y_{n_bad}({z})| is not representable as a double; "
             f"reduce the order (requested n_max={n_max})"
         )
-    Y = mant * np.exp(slog)
-    return [BesselPair(n, z, float(J[n]), float(Y[n])) for n in range(n_max + 1)]
-
-
-def hankel1(n: int, z: float) -> HankelValue:
-    """H_n^{(1)}(z) and its derivative for signed integer order.
-
-    Negative orders use H_{-n} = (-1)^n H_n; the derivative comes from
-    H_n' = H_{n-1} - (n/z) H_n.
-    """
-    m = abs(n)
-    pairs = bessel_jy(max(m, 1), z)
-    h = complex(pairs[m].j, pairs[m].y)
-    if m == 0:
-        hp = -complex(pairs[1].j, pairs[1].y)
-    else:
-        h_lo = complex(pairs[m - 1].j, pairs[m - 1].y)
-        hp = h_lo - (m / z) * h
-    if n < 0 and m % 2 == 1:
-        h, hp = -h, -hp
-    return HankelValue(n, z, h, hp)
+    return J, mant * np.exp(slog)
 
 
 def _alphas(m_max: int, kappa: float, radius: float) -> np.ndarray:
@@ -241,14 +189,18 @@ def _alphas(m_max: int, kappa: float, radius: float) -> np.ndarray:
 
 
 def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
-    """alpha_1, alpha_2 and Lambda at the orders ms = |n| >= 0, from one ladder
-    per wavenumber.  Raises DegenerateMode if any |Lambda| < 1e-14 (that mode
-    matrix would be singular; an exceptional frequency/radius pair)."""
+    """alpha_1, alpha_2 and Lambda at the integer orders ms = |n| >= 0 (a 1-d
+    array), from one ladder per wavenumber.  Raises InvalidParameter for an
+    empty, non-integer or negative order, OrderCapExceeded above order 1024,
+    and DegenerateMode if any |Lambda| < 1e-14 (that mode matrix would be
+    singular; an exceptional frequency/radius pair)."""
     if not (0.0 < kappa1 < kappa2):
         raise InvalidParameter("wavenumbers must satisfy 0 < kappa1 < kappa2")
     if not radius > 0.0:
         raise NonPositiveArgument("radius must be positive")
     ms = np.asarray(ms)
+    if ms.dtype.kind not in "iu" or ms.ndim != 1 or ms.size == 0 or ms.min() < 0:
+        raise InvalidParameter("orders must be a nonempty 1-d array of integers >= 0")
     a1 = _alphas(int(ms.max()), kappa1, radius)[ms]
     a2 = _alphas(int(ms.max()), kappa2, radius)[ms]
     lam = (ms / radius) ** 2 - a1 * a2
@@ -258,13 +210,6 @@ def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
         raise DegenerateMode(f"Lambda_{ms[k]} = {complex(lam[k])} is numerically "
                              f"singular at radius {radius}")
     return a1, a2, lam
-
-
-def mode_scalars(n: int, kappa1: float, kappa2: float, radius: float) -> ModeScalars:
-    """Scattering scalars alpha_{1n}, alpha_{2n}, Lambda_n at a given radius:
-    ``mode_scalar_arrays`` at the single order |n|."""
-    scalars = mode_scalar_arrays([abs(n)], kappa1, kappa2, radius)
-    return ModeScalars(n, kappa1, kappa2, radius, *(complex(a[0]) for a in scalars))
 
 
 def _hankel_arg_ratio(m: int, kappa: float, r_num: float, r_den: float) -> complex:
@@ -400,12 +345,14 @@ def jy01(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     and Y_1 summed on the way down.  The cost per point does not grow with
     z, and points go through in chunks of 2^16, so memory stays O(chunk).
     Against ``scipy.special.hankel1`` the relative error of H_0 and H_1
-    is at most 3.4e-15 over z in [1e-3, 2e3].  The scalar ladder seeds its
+    is at most 3.4e-15 over z in [1e-3, 2e3].  The order ladder seeds its
     Y recurrence from the same kernel.
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0.0):
-        raise NonPositiveArgument("arguments must be positive")
+    if not np.all((z > 0.0) & (z < np.inf)):  # NaN fails both
+        if np.any(z <= 0.0):
+            raise NonPositiveArgument("arguments must be positive")
+        raise InvalidParameter("arguments must be finite")
     flat = z.ravel()
     out = np.empty((4, flat.size))
     for lo in range(0, flat.size, _CHUNK):

@@ -17,7 +17,9 @@ from elastodtn import (
     example2_mesh,
     uniform_solve,
 )
+from elastodtn import driver
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
+from elastodtn.dtn import spectrum_table
 from elastodtn.errors import InvalidRadii, IterationCapReached
 from elastodtn.mesh import generate_annulus, refine_all, save_mesh, save_triangle_scalars
 
@@ -128,6 +130,21 @@ class TestRunArtifacts:
         assert (tmp_path / "run" / "spectrum.txt").exists()
         eta = (tmp_path / "run" / "eta_final.csv").read_bytes()
         assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh.csv")
+
+    def test_one_spectrum_per_run_and_none_in_writer(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(config):
+            calls.append(config)
+            return build_spectrum(config)
+
+        monkeypatch.setattr(driver, "build_spectrum", counting)
+        cfg = example1_config(tolerance=math.inf, N=12)
+        hist = adaptive_solve(cfg, example1_mesh(16, 1))
+        _write_run_outputs(hist, tmp_path / "run", dump_spectrum=True)
+        assert calls == [cfg]
+        written = (tmp_path / "run" / "spectrum.txt").read_text()
+        assert written == spectrum_table(build_spectrum(cfg))
 
 
 class TestArtifactBytes:

@@ -18,7 +18,6 @@ from elastodtn.dtn import (
     build_spectrum,
     dtn_boundary_form,
     fourier_coefficients,
-    mode_matrix,
     mode_weights,
     polar_components,
     select_truncation,
@@ -26,23 +25,26 @@ from elastodtn.dtn import (
     trace_l2_sq,
     truncation_error,
 )
+import scipy.special as sc
+
 from elastodtn import specfun
 from elastodtn.errors import DegenerateMode, EmptyBoundary, InvalidRadii, NodeSetMismatch
-from elastodtn.specfun import hankel1, mode_scalars
+from elastodtn.specfun import mode_scalar_arrays
 from elastodtn import example1_config
 
 
 def unsimplified_mode_matrix(n, omega, lam, mu, R):
-    """Oracle: raw matrix entries via H'' from the Bessel ODE."""
+    """Oracle: raw matrix entries via H'' from the Bessel ODE, with H_n and
+    H_n' from scipy (AMOS), independent of the library's ladder."""
     k1 = omega / math.sqrt(lam + 2 * mu)
     k2 = omega / math.sqrt(mu)
 
     def ratios(kappa):
         z = kappa * R
-        hv = hankel1(n, z)
-        alpha = kappa * hv.h_prime / hv.h
-        hdd = -hv.h_prime / z - (1 - n**2 / z**2) * hv.h
-        return alpha, hdd / hv.h
+        h, hp = sc.hankel1(n, z), sc.h1vp(n, z)
+        alpha = kappa * hp / h
+        hdd = -hp / z - (1 - n**2 / z**2) * h
+        return alpha, hdd / h
 
     a1, dd1 = ratios(k1)
     a2, dd2 = ratios(k2)
@@ -64,25 +66,26 @@ class TestModeMatrices:
         assert M0[0, 1] == 0 and M0[1, 0] == 0
 
     def test_simplified_equals_unsimplified_n5(self):
-        got = mode_matrix(5, math.pi, 2.0, 1.0, 1.0)
+        got = build_spectrum(example1_config(N=5)).matrix_stack()[10]  # row N + n
         want = unsimplified_mode_matrix(5, math.pi, 2.0, 1.0, 1.0)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_parity_structure(self):
-        Mp = mode_matrix(5, math.pi, 2.0, 1.0, 1.0)
-        Mm = mode_matrix(-5, math.pi, 2.0, 1.0, 1.0)
+        M = build_spectrum(example1_config(N=5)).matrix_stack()
+        Mp, Mm = M[10], M[0]  # n = 5 and n = -5
         assert Mm[0, 0] == Mp[0, 0] and Mm[1, 1] == Mp[1, 1]
         assert Mm[0, 1] == -Mp[0, 1] and Mm[1, 0] == -Mp[1, 0]
 
     def test_m21_is_minus_m12(self):
+        M = build_spectrum(example1_config(N=8)).matrix_stack()
         for n in (1, 3, 8):
-            M = mode_matrix(n, math.pi, 2.0, 1.0, 1.0)
-            assert M[1, 0] == pytest.approx(-M[0, 1], rel=1e-14)
+            assert M[8 + n][1, 0] == pytest.approx(-M[8 + n][0, 1], rel=1e-14)
 
     @pytest.mark.parametrize("omega", [1.0, math.pi, 2 * math.pi])
     def test_simplified_vs_unsimplified_sweep(self, omega):
+        M = build_spectrum(example1_config(omega=omega, N=20)).matrix_stack()
         for n in range(0, 21, 4):
-            got = mode_matrix(n, omega, 2.0, 1.0, 1.0)
+            got = M[20 + n]
             want = unsimplified_mode_matrix(n, omega, 2.0, 1.0, 1.0)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -92,13 +95,13 @@ class TestModeMatrices:
         assert spec.matrix_stack().shape == (15, 2, 2)
 
     def test_build_spectrum_matches_single_modes_exactly(self):
-        cfg = example1_config(N=12)
-        spec = build_spectrum(cfg)
-        k1, k2 = cfg.kappa1, cfg.kappa2
+        """M_n and the scalars of |n| do not depend on the truncation order:
+        the spectrum cut at N = |n| has the same row bit for bit."""
+        spec = build_spectrum(example1_config(N=12))
         for n in range(-12, 13):
-            single = mode_matrix(n, cfg.omega, cfg.lam, cfg.mu, cfg.R)
-            assert np.array_equal(spec.matrix_stack()[12 + n], single)
-            assert spec.scalars[n] == mode_scalars(n, k1, k2, cfg.R)
+            single = build_spectrum(example1_config(N=abs(n)))
+            assert np.array_equal(spec.matrix_stack()[12 + n], single.matrix_stack()[abs(n) + n])
+            assert spec.scalars[n] == single.scalars[n]
         assert list(spec.scalars) == list(range(-12, 13))
 
     def test_arrays_are_read_only_and_the_view_is_cached(self):
@@ -108,6 +111,12 @@ class TestModeMatrices:
             with pytest.raises(ValueError):
                 a[0] = 0
         assert spec.scalars is spec.scalars
+        assert list(spec.scalars) == list(range(-4, 5))
+        for n, s in spec.scalars.items():
+            assert (s.n, s.kappa1, s.kappa2, s.radius) == (n, spec.kappa1, spec.kappa2, 1.0)
+            m = abs(n)
+            assert (s.alpha1, s.alpha2, s.lambda_n) == (
+                spec.alpha1[m], spec.alpha2[m], spec.lambda_n[m])
 
 
 
@@ -132,14 +141,12 @@ class TestDegenerateMode:
 
     def test_mode_scalars_raise_only_for_their_own_order(self, lambda3_zero):
         k1, k2 = math.pi / 2, math.pi
-        for n in (-3, 3):
-            with pytest.raises(DegenerateMode, match="Lambda_3 "):
-                mode_scalars(n, k1, k2, 1.0)
-            with pytest.raises(DegenerateMode):
-                mode_matrix(n, math.pi, 2.0, 1.0, 1.0)
-        for n in (0, 2, 4, -5):
-            assert mode_scalars(n, k1, k2, 1.0).lambda_n != 0
-            assert np.isfinite(mode_matrix(n, math.pi, 2.0, 1.0, 1.0)).all()
+        with pytest.raises(DegenerateMode, match="Lambda_3 "):
+            mode_scalar_arrays(np.array([0, 3, 5]), k1, k2, 1.0)
+        # order 3 sits in the ladders but is not requested
+        lam = mode_scalar_arrays(np.array([0, 2, 4, 5]), k1, k2, 1.0)[2]
+        assert np.all(lam != 0)
+        assert np.isfinite(build_spectrum(example1_config(N=2)).matrix_stack()).all()
 
 
 def reference_spectrum_table(spectrum):

@@ -13,17 +13,11 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from elastodtn import example1_config
+from elastodtn import example1_config, specfun
 from elastodtn.dtn import build_spectrum
-from elastodtn.errors import NonPositiveArgument, OrderCapExceeded, OverflowRegime
-from elastodtn.specfun import (
-    bessel_jy,
-    hankel1,
-    hankel_ratio_gap,
-    hankel01,
-    jy01,
-    mode_scalars,
-)
+from elastodtn.errors import (InvalidParameter, NonPositiveArgument, OrderCapExceeded,
+                              OverflowRegime)
+from elastodtn.specfun import bessel_jy, hankel_ratio_gap, hankel01, jy01, mode_scalar_arrays
 
 K1 = math.pi / 2
 K2 = math.pi
@@ -40,38 +34,34 @@ def j0_series(z):
 
 
 def max_feasible_order(z, cap=256):
-    """Largest n <= cap with Y_n(z) still representable."""
-    lo = 0
-    for n in range(cap, -1, -1):
-        try:
-            bessel_jy(n, z)
-            lo = n
-            break
-        except OverflowRegime:
-            continue
-    return lo
+    """Largest n <= cap with Y_n(z) still representable, read off one ladder
+    (bessel_jy(n, z) raises OverflowRegime from the first such order on)."""
+    _, mant, slog = specfun._ladder(cap, z)
+    log_y = slog + np.log(np.maximum(np.abs(mant), 1e-320))
+    over = np.flatnonzero(log_y > specfun._LOG_MAX)
+    return int(over[0]) - 1 if over.size else cap
 
 
 class TestBesselJy:
     def test_j0_against_power_series(self):
-        got = bessel_jy(0, 2.0)[0].j
+        got = bessel_jy(0, 2.0)[0][0]
         assert got == pytest.approx(j0_series(2.0), rel=1e-14)
 
     @pytest.mark.parametrize("z", [0.7, 2.0, 5.5, 11.0])
     def test_j0_series_various_arguments(self, z):
-        assert bessel_jy(0, z)[0].j == pytest.approx(j0_series(z), rel=1e-12)
+        assert bessel_jy(0, z)[0][0] == pytest.approx(j0_series(z), rel=1e-12)
 
     def test_wronskian_n5_z3(self):
-        pairs = bessel_jy(6, 3.0)
+        J, Y = bessel_jy(6, 3.0)
         target = 2.0 / (math.pi * 3.0)
         for n in range(5):
-            w = pairs[n + 1].j * pairs[n].y - pairs[n].j * pairs[n + 1].y
+            w = J[n + 1] * Y[n] - J[n] * Y[n + 1]
             assert w == pytest.approx(target, rel=1e-10)
 
     def test_large_order_product_asymptotic(self):
         # J_n(z) Y_n(z) -> -1/(pi n): check n |J Y| within 2% at n = 100
-        pairs = bessel_jy(100, math.pi)
-        prod = abs(pairs[100].j * pairs[100].y)
+        J, Y = bessel_jy(100, math.pi)
+        prod = abs(J[100] * Y[100])
         assert 100 * prod == pytest.approx(1.0 / math.pi, rel=0.02)
 
     @pytest.mark.parametrize("z", [0.0, -1.0])
@@ -95,65 +85,45 @@ class TestBesselJy:
         """Wronskian to 1e-10 for every representable order up to 256."""
         n_max = max_feasible_order(z)
         assert n_max >= 100  # the usable range is wide even at z = 0.5
-        pairs = bessel_jy(n_max, z)
+        J, Y = bessel_jy(n_max, z)
+        if n_max < 256:
+            with pytest.raises(OverflowRegime):
+                bessel_jy(n_max + 1, z)
         target = 2.0 / (math.pi * z)
-        worst = max(
-            abs(pairs[n + 1].j * pairs[n].y - pairs[n].j * pairs[n + 1].y - target)
-            for n in range(n_max)
-        )
+        worst = max(abs(J[n + 1] * Y[n] - J[n] * Y[n + 1] - target) for n in range(n_max))
         assert worst <= 1e-10 * target
 
     def test_vectorized_matches_scalar(self, rng):
         z = rng.uniform(0.5, 19.0, size=40)
         j0, j1, y0, y1 = jy01(z)
         for i in range(len(z)):
-            pairs = bessel_jy(1, float(z[i]))
-            assert j0[i] == pytest.approx(pairs[0].j, rel=1e-13, abs=1e-15)
-            assert j1[i] == pytest.approx(pairs[1].j, rel=1e-13, abs=1e-15)
-            assert y0[i] == pytest.approx(pairs[0].y, rel=1e-13, abs=1e-15)
-            assert y1[i] == pytest.approx(pairs[1].y, rel=1e-13, abs=1e-15)
+            J, Y = bessel_jy(1, float(z[i]))
+            assert j0[i] == pytest.approx(J[0], rel=1e-13, abs=1e-15)
+            assert j1[i] == pytest.approx(J[1], rel=1e-13, abs=1e-15)
+            assert y0[i] == pytest.approx(Y[0], rel=1e-13, abs=1e-15)
+            assert y1[i] == pytest.approx(Y[1], rel=1e-13, abs=1e-15)
 
 
-class TestHankel1:
-    def test_negative_order_symmetry(self):
-        assert hankel1(-3, 2.5).h == pytest.approx(-hankel1(3, 2.5).h, rel=1e-14)
-
-    def test_derivative_identity_at_zero_order(self):
-        assert hankel1(0, 1.0).h_prime == pytest.approx(-hankel1(1, 1.0).h, rel=1e-14)
-
-    def test_h_is_j_plus_iy(self):
-        pair = bessel_jy(4, 3.3)[4]
-        assert hankel1(4, 3.3).h == pytest.approx(complex(pair.j, pair.y), rel=1e-14)
-
-    def test_derivative_against_finite_difference(self):
-        delta = 1e-6
-        got = hankel1(7, 4.0).h_prime
-        fd = (hankel1(7, 4.0 + delta).h - hankel1(7, 4.0 - delta).h) / (2 * delta)
-        assert got == pytest.approx(fd, rel=1e-7)
-
-    def test_derivative_fd_random_grid(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(0, 65))
-            z = float(rng.uniform(0.5, 20.0))
-            delta = 1e-6
-            got = hankel1(n, z).h_prime
-            fd = (hankel1(n, z + delta).h - hankel1(n, z - delta).h) / (2 * delta)
-            assert abs(got - fd) <= 1e-7 * abs(got)
+def scalars_at(ns, k1=K1, k2=K2, radius=1.0):
+    """(alpha1, alpha2, Lambda) at the orders ns, from one array call."""
+    return mode_scalar_arrays(np.asarray(ns), k1, k2, radius)
 
 
 class TestModeScalars:
     def test_n0_kills_angular_term(self):
-        ms = mode_scalars(0, K1, K2, 1.0)
-        assert ms.lambda_n == pytest.approx(-ms.alpha1 * ms.alpha2, rel=1e-14)
+        a1, a2, lam = scalars_at([0])
+        assert lam[0] == pytest.approx(-a1[0] * a2[0], rel=1e-14)
 
     def test_lambda_asymptotic_n200(self):
         target = (K1**2 + K2**2) / 2.0
-        ms = mode_scalars(200, K1, K2, 1.0)
-        assert abs(ms.lambda_n - target) <= 10.0 / 200
+        lam = scalars_at([200])[2]
+        assert abs(lam[0] - target) <= 10.0 / 200
 
     def test_parity_in_n(self):
-        a = mode_scalars(17, K1, K2, 1.0)
-        b = mode_scalars(-17, K1, K2, 1.0)
+        """M_n and M_{-n} read the same scalars of |n|."""
+        spec = build_spectrum(example1_config(N=17))
+        a = spec.scalars[17]
+        b = spec.scalars[-17]
         assert a.alpha1 == b.alpha1
         assert a.alpha2 == b.alpha2
         assert a.lambda_n == b.lambda_n
@@ -162,9 +132,7 @@ class TestModeScalars:
         """n |Lambda_n - (k1^2+k2^2)/2| bounded, windowed max non-increasing."""
         target = (K1**2 + K2**2) / 2.0
         ns = np.arange(64, 513)
-        gaps = np.array(
-            [n * abs(mode_scalars(int(n), K1, K2, 1.0).lambda_n - target) for n in ns]
-        )
+        gaps = ns * np.abs(scalars_at(ns)[2] - target)
         assert gaps.max() <= 10.0
         windows = [gaps[(ns >= a) & (ns < b)].max() for a, b in [(64, 128), (128, 256), (256, 513)]]
         assert windows[0] + 1e-9 >= windows[1] >= windows[2] - 1e-9
@@ -172,12 +140,37 @@ class TestModeScalars:
 
     def test_wavenumber_ordering_enforced(self):
         with pytest.raises(ValueError):
-            mode_scalars(3, K2, K1, 1.0)
+            scalars_at([3], K2, K1)
 
     def test_degenerate_mode_not_triggered_normally(self):
         # the benchmark material sits far from any exceptional pair
-        for n in range(0, 50):
-            mode_scalars(n, K1, K2, 1.0)
+        scalars_at(np.arange(50))
+
+    @pytest.mark.parametrize(
+        "ns, error",
+        [([5, -2], InvalidParameter), ([-3], InvalidParameter), ([2.5], InvalidParameter),
+         ([], InvalidParameter), (3, InvalidParameter), ([3, 1025], OrderCapExceeded)],
+    )
+    def test_invalid_orders_raise(self, ns, error):
+        """-2 must not wrap around to the order at index -2, nor 2.5 fail
+        as a bare IndexError."""
+        with pytest.raises(error):
+            scalars_at(ns)
+
+    @pytest.mark.parametrize("omega", [math.pi, 2.7])
+    def test_results_do_not_depend_on_earlier_calls(self, omega):
+        """Each call builds its own ladders: longer ladders at kappa_j R,
+        even one that ends in OverflowRegime, leave the spectrum at those
+        arguments bit for bit as it was.  No other test uses omega = 2.7,
+        so that case holds whatever ran before it."""
+        cfg = example1_config(omega=omega)
+        before = build_spectrum(cfg)
+        mode_scalar_arrays(np.arange(201), cfg.kappa1, cfg.kappa2, cfg.R)
+        with pytest.raises(OverflowRegime):  # |Y_n(kappa2 R)| overflows below n = 200
+            bessel_jy(200, cfg.kappa2 * cfg.R)
+        after = build_spectrum(cfg)
+        for name in ("matrices", "alpha1", "alpha2", "lambda_n"):
+            assert np.array_equal(getattr(before, name), getattr(after, name)), name
 
 
 class TestHankelRatioGap:
@@ -246,9 +239,9 @@ class TestJy01Oracles:
     @pytest.mark.parametrize("z", [3.0, 24.0, 30.0, 289.4, 1000.0])
     def test_scalar_ladder_shares_the_y_seeds(self, z):
         _, _, y0, y1 = jy01(np.array([z]))
-        pairs = bessel_jy(1, z)
-        assert pairs[0].y == y0[0]
-        assert pairs[1].y == y1[0]
+        _, Y = bessel_jy(1, z)
+        assert Y[0] == y0[0]
+        assert Y[1] == y1[0]
 
     def test_memory_does_not_grow_with_argument(self):
         z = np.full(20_000, 1000.0)
@@ -266,31 +259,28 @@ class TestModeScalarsHighFrequency:
 
     @pytest.mark.parametrize("k2", [289.4, 1000.0])
     def test_alpha_against_scipy(self, k2):
-        """Both inputs: mode_scalars one order at a time, and the arrays
-        build_spectrum makes (lam = 2, mu = 1 give kappa1 = omega / 2)."""
+        """The arrays build_spectrum makes at N = 1024 (lam = 2, mu = 1 give
+        kappa1 = omega / 2), every order from one mode_scalar_arrays call."""
         k1 = k2 / 2.0
         ns = np.arange(1025)
-        single = np.array(
-            [[s.alpha1, s.alpha2] for s in (mode_scalars(int(n), k1, k2, 1.0) for n in ns)]
-        )
         spec = build_spectrum(example1_config(omega=k2, N=1024))
-        arrays = np.stack([spec.alpha1, spec.alpha2], axis=1)
+        got = np.stack([spec.alpha1, spec.alpha2], axis=1)
         with np.errstate(invalid="ignore", over="ignore"):
             want = np.stack(
                 [k * sc.h1vp(ns, k) / sc.hankel1(ns, k) for k in (k1, k2)], axis=1
             )
         ok = np.isfinite(want)
         assert ok[: int(k2) + 100].all()  # scipy is finite well past the turning point
-        for got in (single, arrays):
-            assert _relerr(got[ok], want[ok]) <= 1e-10
+        assert _relerr(got[ok], want[ok]) <= 1e-10
 
     def test_mpmath_alpha_spot_values(self):
         mpmath = pytest.importorskip("mpmath")
         z = 1000.0
-        for n in (0, 1, 500, 990):
+        ns = [0, 1, 500, 990]
+        alpha2 = scalars_at(ns, z / 2.0, z)[1]
+        for n, got in zip(ns, alpha2):
             with mpmath.workdps(30):
                 h = mpmath.hankel1(n, z)
                 hp = (mpmath.hankel1(n - 1, z) - mpmath.hankel1(n + 1, z)) / 2
                 want = complex(z * hp / h)
-            got = mode_scalars(n, z / 2.0, z, 1.0).alpha2
             assert abs(got - want) <= 1e-12 * abs(want)
