@@ -61,7 +61,8 @@ for n, lam in zip(ns, lambda_n):
 # DtN series at a few dozen modes.
 
 print("\nn, ratio gap, bound k2(k2-k1)(R^2-Rh^2)(Rh/R)^n/(n-1):")
-for n in (30, 60, 90, 120):
-    g = hankel_ratio_gap(n, k1, k2, 0.5, 1.0)
-    bound = k2 * (k2 - k1) * 0.75 * 0.5**n / (n - 1)
+ns = np.array([30, 60, 90, 120])
+gaps = hankel_ratio_gap(ns, k1, k2, 0.5, 1.0)  # one ladder per argument
+bounds = k2 * (k2 - k1) * 0.75 * 0.5**ns / (ns - 1)
+for n, g, bound in zip(ns, gaps, bounds):
     print(f"  {n:4d}  {g:.3e}  {bound:.3e}")

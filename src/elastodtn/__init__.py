@@ -24,7 +24,6 @@ from .driver import (
     uniform_solve,
 )
 from .dtn import (
-    BoundaryTrace,
     DtnSpectrum,
     build_spectrum,
     dtn_boundary_form,
@@ -57,7 +56,6 @@ __all__ = [
     "example2_config",
     "example2_mesh",
     "uniform_solve",
-    "BoundaryTrace",
     "DtnSpectrum",
     "build_spectrum",
     "dtn_boundary_form",

@@ -72,7 +72,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dtn import BoundaryTrace, DtnSpectrum, mode_weights
+from .dtn import DtnSpectrum, outer_mode_basis
 from .errors import (
     InvalidParameter,
     InvalidRadii,
@@ -102,6 +102,12 @@ class IncidentWave:
     def __post_init__(self):
         if self.kind not in ("hankel0", "plane"):
             raise InvalidParameter(f"unknown incident wave kind {self.kind!r}")
+        d = np.asarray(self.direction, dtype=np.float64)
+        if d.shape != (2,) or not 0.0 < math.hypot(*d) < math.inf:
+            raise InvalidParameter(
+                f"direction must be two finite numbers with a finite nonzero length, "
+                f"got {self.direction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,9 @@ class ProblemConfig:
     max_iters: int = 30
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.omega, self.lam, self.mu, self.R, self.R_hat))):
-            raise InvalidParameter("omega, lam, mu, R and R_hat must be finite")
+        if not all(map(math.isfinite, (self.omega, self.lam, self.mu, self.R, self.R_hat,
+                                       self.tolerance))):
+            raise InvalidParameter("omega, lam, mu, R, R_hat and tolerance must be finite")
         if not (self.mu > 0.0 and self.lam + self.mu > 0.0):
             raise InvalidParameter("need mu > 0 and lam + mu > 0")
         if not self.omega > 0.0:
@@ -130,6 +137,8 @@ class ProblemConfig:
             raise InvalidRadii(f"need 0 < R_hat < R, got R_hat={self.R_hat}, R={self.R}")
         if not (0.0 < self.theta_mark < 1.0):
             raise ThetaOutOfRange(f"theta must lie in (0, 1), got {self.theta_mark}")
+        if not self.tolerance > 0.0:
+            raise InvalidParameter(f"need tolerance > 0, got {self.tolerance}")
         if self.max_iters < 1:
             raise InvalidParameter(f"need max_iters >= 1, got {self.max_iters}")
 
@@ -198,7 +207,7 @@ def incident_field(config: ProblemConfig, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if config.incident.kind == "plane":
         d = np.asarray(config.incident.direction, dtype=np.float64)
-        d = d / np.linalg.norm(d)
+        d = d / math.hypot(*d)
         phase = np.exp(1j * config.kappa1 * (pts @ d))
         return phase[:, None] * d[None, :]
     r = np.linalg.norm(pts, axis=1)
@@ -250,32 +259,9 @@ def element_matrices(mesh: Mesh, config: ProblemConfig) -> np.ndarray:
     return out
 
 
-def outer_trace(mesh: Mesh, values: np.ndarray) -> BoundaryTrace:
-    """Boundary trace of a nodal field on the outer circle, angle-ordered."""
-    idx, th = mesh.outer_vertex_order()
-    return BoundaryTrace(th, np.asarray(values, dtype=np.complex128)[idx])
-
-
-def _outer_mode_basis(mesh: Mesh, spectrum: DtnSpectrum):
-    """B[m] maps outer nodal Cartesian DOFs to the polar coefficient pair
-    of mode m; returns (outer DOF indices, B stack (2N+1, 2, 2K))."""
-    idx, th = mesh.outer_vertex_order()
-    ns = spectrum.mode_numbers()
-    W = mode_weights(th, ns)
-    c, s = np.cos(th), np.sin(th)
-    rot = np.empty((len(idx), 2, 2))
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = s
-    rot[:, 1, 0] = -s
-    rot[:, 1, 1] = c
-    B = np.einsum("mj,jab->majb", W, rot).reshape(len(ns), 2, 2 * len(idx))
-    dofs = np.column_stack([2 * idx, 2 * idx + 1]).ravel()
-    return dofs, B
-
-
 def dtn_block(mesh: Mesh, spectrum: DtnSpectrum):
     """(outer DOF indices, dense matrix D) with v^H D u = int T_N u . conj(v) ds."""
-    dofs, B = _outer_mode_basis(mesh, spectrum)
+    dofs, B = outer_mode_basis(mesh, spectrum.mode_numbers())
     MB = np.einsum("mab,mbk->mak", spectrum.matrix_stack(), B)
     K = B.shape[2]
     D = TWO_PI * spectrum.radius * (np.conj(B).reshape(-1, K).T @ MB.reshape(-1, K))
@@ -483,8 +469,8 @@ def residual_vector(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     np.add.at(out, 2 * flat_idx, contrib[:, 0])
     np.add.at(out, 2 * flat_idx + 1, contrib[:, 1])
 
-    dofs, B = _outer_mode_basis(mesh, spectrum)
-    u_hat = np.einsum("mak,k->ma", B, field.values.ravel()[dofs])
+    dofs, B = outer_mode_basis(mesh, spectrum.mode_numbers())
+    u_hat = B @ field.values.ravel()[dofs]
     Mu = np.einsum("mab,mb->ma", spectrum.matrix_stack(), u_hat)
     out[dofs] -= TWO_PI * spectrum.radius * np.einsum(
         "ma,mak->k", Mu, np.conj(B)

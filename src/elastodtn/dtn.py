@@ -13,7 +13,10 @@ Diagonal entries are even in n, off-diagonal odd, and M_21 = -M_12.
 Fourier coefficients of finite element traces are computed in closed form
 per boundary arc: the trace is piecewise linear in the angle, and
 ``int u(theta) exp(-i n theta) dtheta`` has an elementary antiderivative,
-so no quadrature tolerance enters the operator.
+so no quadrature tolerance enters the operator.  ``outer_mode_basis`` is
+the one map from the nodal values on the outer circle to those
+coefficients; the dense DtN block, the Galerkin residual and the
+estimator's outer-edge jumps all read it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyBoundary, InvalidParameter, InvalidRadii, NodeSetMismatch
-from .mesh import format_rows
+from .errors import EmptyBoundary, InvalidParameter, InvalidRadii
+from .mesh import Mesh, format_rows
 from .specfun import ModeScalars, mode_scalar_arrays
 
 TWO_PI = 2.0 * math.pi
@@ -64,18 +67,6 @@ class DtnSpectrum:
         cols = (a[np.abs(ns)].tolist() for a in (self.alpha1, self.alpha2, self.lambda_n))
         return {n: ModeScalars(n, self.kappa1, self.kappa2, self.radius, *s)
                 for n, *s in zip(ns.tolist(), *cols)}
-
-
-@dataclass
-class BoundaryTrace:
-    """Displacement trace sampled at the mesh nodes of the outer circle.
-
-    values are Cartesian complex 2-vectors per node; node_angles must be
-    strictly increasing in [0, 2pi).
-    """
-
-    node_angles: np.ndarray
-    values: np.ndarray
 
 
 def _mode_matrices(ns, alpha1, alpha2, L, omega, mu, R) -> np.ndarray:
@@ -160,28 +151,48 @@ def mode_weights(node_angles: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return (left + np.roll(right, 1, axis=1)) / TWO_PI
 
 
-def polar_components(trace: BoundaryTrace) -> np.ndarray:
-    """Nodal values rotated to (radial, tangential) components."""
-    th = trace.node_angles
+def outer_mode_basis(mesh: Mesh, ns: np.ndarray):
+    """The trace map of the outer circle: (dofs, B) with B of shape
+    (len(ns), 2, 2K) sending the Cartesian values at the K outer nodes,
+    ``values.ravel()[dofs]``, to the polar coefficient pair of each mode,
+    u_hat = B @ values.ravel()[dofs]."""
+    idx, th = mesh.outer_vertex_order()
+    W = mode_weights(th, ns)
     c, s = np.cos(th), np.sin(th)
-    vx, vy = trace.values[:, 0], trace.values[:, 1]
+    rot = np.empty((len(idx), 2, 2))
+    rot[:, 0, 0] = c
+    rot[:, 0, 1] = s
+    rot[:, 1, 0] = -s
+    rot[:, 1, 1] = c
+    B = np.einsum("mj,jab->majb", W, rot).reshape(len(ns), 2, 2 * len(idx))
+    dofs = np.column_stack([2 * idx, 2 * idx + 1]).ravel()
+    return dofs, B
+
+
+# Reference functions on a trace given as node angles (strictly increasing
+# in [0, 2pi)) and Cartesian complex values, one row per node.  They rotate
+# to polar components before the transform, so they check outer_mode_basis
+# rather than share its arithmetic.
+
+
+def polar_components(node_angles: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Nodal values rotated to (radial, tangential) components."""
+    c, s = np.cos(node_angles), np.sin(node_angles)
+    vx, vy = values[:, 0], values[:, 1]
     return np.stack([vx * c + vy * s, -vx * s + vy * c], axis=1)
 
 
-def fourier_coefficients(trace: BoundaryTrace, N: int) -> dict[int, np.ndarray]:
-    """Polar-component mode coefficients of the trace for |n| <= N."""
-    ns = np.arange(-N, N + 1)
-    W = mode_weights(trace.node_angles, ns)
-    coeffs = W @ polar_components(trace)
-    return {int(n): coeffs[i] for i, n in enumerate(ns)}
+def fourier_coefficients(node_angles: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
+    """(2N+1, 2) polar-component mode coefficients, mode n at row N + n."""
+    W = mode_weights(node_angles, np.arange(-N, N + 1))
+    return W @ polar_components(node_angles, values)
 
 
-def trace_l2_sq(trace: BoundaryTrace, radius: float) -> float:
+def trace_l2_sq(node_angles: np.ndarray, values: np.ndarray, radius: float) -> float:
     """Squared circle L2 norm of the piecewise-linear polar interpolant."""
-    p = polar_components(trace)
+    p = polar_components(node_angles, values)
     q = np.roll(p, -1, axis=0)
-    th = trace.node_angles
-    delta = np.diff(np.concatenate([th, [th[0] + TWO_PI]]))
+    delta = np.diff(np.concatenate([node_angles, [node_angles[0] + TWO_PI]]))
     arc = (
         np.sum(np.abs(p) ** 2 + np.abs(q) ** 2, axis=1)
         + np.sum((p * q.conj()).real, axis=1)
@@ -190,19 +201,16 @@ def trace_l2_sq(trace: BoundaryTrace, radius: float) -> float:
 
 
 def dtn_boundary_form(
-    spectrum: DtnSpectrum, trace_u: BoundaryTrace, trace_v: BoundaryTrace
+    spectrum: DtnSpectrum, node_angles: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> complex:
-    """2 pi R sum_{|n|<=N} (M_n u_n) . conj(v_n).
+    """2 pi R sum_{|n|<=N} (M_n u_n) . conj(v_n) for two traces on the same
+    nodes.
 
     This is the positive boundary integral; the variational form subtracts
     it.  Conjugate-linear in the second argument.
     """
-    if trace_u.node_angles.shape != trace_v.node_angles.shape or not np.allclose(
-        trace_u.node_angles, trace_v.node_angles, rtol=0.0, atol=1e-12
-    ):
-        raise NodeSetMismatch("traces are sampled on different boundary node sets")
-    ns = spectrum.mode_numbers()
-    cu, cv = (mode_weights(t.node_angles, ns) @ polar_components(t) for t in (trace_u, trace_v))
+    N = spectrum.truncation_n
+    cu, cv = (fourier_coefficients(node_angles, t, N) for t in (u, v))
     total = np.einsum("mab,mb,ma->", spectrum.matrix_stack(), cu, cv.conj())
     return TWO_PI * spectrum.radius * complex(total)
 

@@ -43,10 +43,6 @@ class EmptyBoundary(ElastoDtnError):
     """Fewer than 3 nodes on the outer circle."""
 
 
-class NodeSetMismatch(ElastoDtnError):
-    """Two traces do not share the same boundary node set."""
-
-
 # --- mesh ---
 
 class ParseError(ElastoDtnError):

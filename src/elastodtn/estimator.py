@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SolutionField, check_consistent, incident_h1, outer_trace
-from .dtn import DtnSpectrum, mode_weights, polar_components, truncation_error
+from .assembly import SolutionField, check_consistent, incident_h1
+from .dtn import DtnSpectrum, outer_mode_basis, truncation_error
 from .mesh import OBSTACLE, OUTER, Mesh, format_rows
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
@@ -111,10 +111,9 @@ def boundary_jumps(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     if outer_ids.size == 0:
         return out
 
-    trace = outer_trace(mesh, field.values)
     ns = spectrum.mode_numbers()
-    W = mode_weights(trace.node_angles, ns)
-    u_hat = W @ polar_components(trace)
+    dofs, B = outer_mode_basis(mesh, ns)
+    u_hat = B @ field.values.ravel()[dofs]
     Mu = np.einsum("mab,mb->ma", spectrum.matrix_stack(), u_hat)
 
     start, width = _outer_edge_angles(mesh, outer_ids)

@@ -188,6 +188,13 @@ def _alphas(m_max: int, kappa: float, radius: float) -> np.ndarray:
     return kappa * ratio[: m_max + 1]
 
 
+def _orders(ms) -> np.ndarray:
+    ms = np.asarray(ms)
+    if ms.dtype.kind not in "iu" or ms.ndim != 1 or ms.size == 0 or ms.min() < 0:
+        raise InvalidParameter("orders must be a nonempty 1-d array of integers >= 0")
+    return ms
+
+
 def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
     """alpha_1, alpha_2 and Lambda at the integer orders ms = |n| >= 0 (a 1-d
     array), from one ladder per wavenumber.  Raises InvalidParameter for an
@@ -198,9 +205,7 @@ def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
         raise InvalidParameter("wavenumbers must satisfy 0 < kappa1 < kappa2")
     if not radius > 0.0:
         raise NonPositiveArgument("radius must be positive")
-    ms = np.asarray(ms)
-    if ms.dtype.kind not in "iu" or ms.ndim != 1 or ms.size == 0 or ms.min() < 0:
-        raise InvalidParameter("orders must be a nonempty 1-d array of integers >= 0")
+    ms = _orders(ms)
     a1 = _alphas(int(ms.max()), kappa1, radius)[ms]
     a2 = _alphas(int(ms.max()), kappa2, radius)[ms]
     lam = (ms / radius) ** 2 - a1 * a2
@@ -212,33 +217,30 @@ def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
     return a1, a2, lam
 
 
-def _hankel_arg_ratio(m: int, kappa: float, r_num: float, r_den: float) -> complex:
-    """H_m(kappa r_num) / H_m(kappa r_den) through the scaled ladders."""
-    Jn, mn, sn = _ladder(m, kappa * r_num)
-    Jd, md, sd = _ladder(m, kappa * r_den)
-    damp = math.exp(-sd[m]) if sd[m] < 700.0 else 0.0
-    shift = math.exp(min(sn[m] - sd[m], 700.0))
-    num = complex(Jn[m] * damp, mn[m] * shift)
-    den = complex(Jd[m] * damp, md[m])
-    return num / den
-
-
-def hankel_ratio_gap(
-    n: int, kappa1: float, kappa2: float, R_hat: float, R: float
-) -> float:
-    """|H_n(k1 R)/H_n(k1 Rh) - H_n(k2 R)/H_n(k2 Rh)|.
+def hankel_ratio_gap(ns, kappa1: float, kappa2: float, R_hat: float, R: float) -> np.ndarray:
+    """|H_n(k1 R)/H_n(k1 Rh) - H_n(k2 R)/H_n(k2 Rh)| at the integer orders
+    ns >= 0 (a 1-d array, validated as in mode_scalar_arrays), from one
+    ladder per argument.
 
     Property-test quantity only: its decay in n is what makes the DtN
     truncation error exponentially small.
     """
     if not (0.0 < R_hat < R):
         raise InvalidParameter("radii must satisfy 0 < R_hat < R")
+    ns = _orders(ns)
     if kappa1 == kappa2:
-        return 0.0
-    m = abs(n)
-    r1 = _hankel_arg_ratio(m, kappa1, R, R_hat)
-    r2 = _hankel_arg_ratio(m, kappa2, R, R_hat)
-    return abs(r1 - r2)
+        return np.zeros(ns.size)
+    top = int(ns.max())
+    ratios = []
+    for kappa in (kappa1, kappa2):
+        # H_n(kappa R) / H_n(kappa Rh) through the scaled ladders: both
+        # values are scaled by the log-scale of Y_n(kappa Rh)
+        Jn, mn, sn = (a[ns] for a in _ladder(top, kappa * R))
+        Jd, md, sd = (a[ns] for a in _ladder(top, kappa * R_hat))
+        damp = np.exp(-sd)  # underflows to 0 beyond the first rescale
+        shift = np.exp(np.minimum(sn - sd, 700.0))
+        ratios.append((Jn * damp + 1j * (mn * shift)) / (Jd * damp + 1j * md))
+    return np.abs(ratios[0] - ratios[1])
 
 
 def _hankel_series(nu: int) -> np.ndarray:

@@ -33,11 +33,19 @@ BAD_INPUTS = {
         [3], math.pi, math.pi / 2, 1.0),
     "specfun.mode_scalar_arrays negative order": lambda: specfun.mode_scalar_arrays(
         [5, -2], math.pi / 2, math.pi, 1.0),
-    "specfun.hankel_ratio_gap": lambda: specfun.hankel_ratio_gap(10, 1.0, 2.0, 1.0, 0.5),
-    "specfun.hankel_ratio_gap inf": lambda: specfun.hankel_ratio_gap(3, 1.0, 2.0, 0.5, math.inf),
+    "specfun.hankel_ratio_gap": lambda: specfun.hankel_ratio_gap([10], 1.0, 2.0, 1.0, 0.5),
+    "specfun.hankel_ratio_gap negative order": lambda: specfun.hankel_ratio_gap(
+        [5, -2], 1.0, 2.0, 0.5, 1.0),
+    "specfun.hankel_ratio_gap inf": lambda: specfun.hankel_ratio_gap([3], 1.0, 2.0, 0.5, math.inf),
     "ProblemConfig omega inf": lambda: elastodtn.example1_config(omega=math.inf),
     "ProblemConfig mu inf": lambda: elastodtn.example1_config(mu=math.inf),
     "ProblemConfig R inf": lambda: elastodtn.example1_config(R=math.inf),
+    "ProblemConfig tolerance nan": lambda: elastodtn.example1_config(tolerance=math.nan),
+    "ProblemConfig tolerance inf": lambda: elastodtn.example1_config(tolerance=math.inf),
+    "ProblemConfig tolerance negative": lambda: elastodtn.example1_config(tolerance=-1.0),
+    "IncidentWave direction zero": lambda: elastodtn.IncidentWave(direction=(0.0, 0.0)),
+    "IncidentWave direction nan": lambda: elastodtn.IncidentWave(direction=(math.nan, 1.0)),
+    "IncidentWave direction inf": lambda: elastodtn.IncidentWave(direction=(math.inf, 0.0)),
     "mesh.generate_annulus segments": lambda: mesh.generate_annulus(0.5, 1.0, 4, 1),
     "mesh.generate_annulus layers": lambda: mesh.generate_annulus(0.5, 1.0, 16, 0),
     "mesh.mark empty": lambda: mesh.mark(np.array([]), 0.5),

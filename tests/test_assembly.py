@@ -37,7 +37,6 @@ from elastodtn.assembly import (
     difference,
     dtn_block,
     element_matrices,
-    outer_trace,
     residual_vector,
     triangle_magnitudes,
 )
@@ -509,10 +508,10 @@ class TestNorms:
 class TestTraceAndExports:
     def test_outer_trace_angles_sorted(self):
         mesh = example1_mesh(16, 1)
-        vals = np.zeros((len(mesh.vertices), 2), dtype=complex)
-        tr = outer_trace(mesh, vals)
-        assert np.all(np.diff(tr.node_angles) > 0)
-        assert len(tr.node_angles) == 16
+        idx, th = mesh.outer_vertex_order()
+        assert np.all(np.diff(th) > 0)
+        assert len(th) == 16
+        assert np.allclose(np.linalg.norm(mesh.vertices[idx], axis=1), 1.0)
 
     def test_solution_csv_round_numbers(self, tmp_path):
         cfg = example1_config(N=2)

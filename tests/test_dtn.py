@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from elastodtn.dtn import (
-    BoundaryTrace,
     _exp_moments,
     build_spectrum,
     dtn_boundary_form,
     fourier_coefficients,
     mode_weights,
+    outer_mode_basis,
     polar_components,
     select_truncation,
     spectrum_table,
@@ -28,9 +28,10 @@ from elastodtn.dtn import (
 import scipy.special as sc
 
 from elastodtn import specfun
-from elastodtn.errors import DegenerateMode, EmptyBoundary, InvalidRadii, NodeSetMismatch
+from elastodtn.errors import DegenerateMode, EmptyBoundary, InvalidRadii
 from elastodtn.specfun import mode_scalar_arrays
-from elastodtn import example1_config
+from elastodtn import example1_config, example1_mesh, example2_config, example2_mesh
+from elastodtn.mesh import OUTER, refine
 
 
 def unsimplified_mode_matrix(n, omega, lam, mu, R):
@@ -180,8 +181,9 @@ class TestSpectrumTable:
 
 
 def equispaced_trace(n_nodes, values_fn):
+    """(node angles, Cartesian values) of a trace on equally spaced nodes."""
     th = 2 * np.pi * np.arange(n_nodes) / n_nodes
-    return BoundaryTrace(th, np.asarray(values_fn(th), dtype=np.complex128))
+    return th, np.asarray(values_fn(th), dtype=np.complex128)
 
 
 class TestFourierCoefficients:
@@ -189,13 +191,15 @@ class TestFourierCoefficients:
         # (1, 0) in Cartesian is a pure |n| = 1 pattern in polar components
         tr = equispaced_trace(64, lambda th: np.stack(
             [np.ones_like(th), np.zeros_like(th)], axis=1))
-        c = fourier_coefficients(tr, 4)
-        assert c[1][0] == pytest.approx(0.5, abs=1e-3)
-        assert c[-1][0] == pytest.approx(0.5, abs=1e-3)
-        assert c[1][1] == pytest.approx(0.5j, abs=1e-3)
-        assert c[-1][1] == pytest.approx(-0.5j, abs=1e-3)
+        c = fourier_coefficients(*tr, 4)  # mode n at row 4 + n
+        assert c.shape == (9, 2)
+        assert c[5, 0] == pytest.approx(0.5, abs=1e-3)
+        assert c[3, 0] == pytest.approx(0.5, abs=1e-3)
+        assert c[5, 1] == pytest.approx(0.5j, abs=1e-3)
+        assert c[3, 1] == pytest.approx(-0.5j, abs=1e-3)
         for n in (0, 2, 3, 4):
-            assert np.max(np.abs(c[n])) <= 1e-3
+            assert np.max(np.abs(c[4 + n])) <= 1e-3
+            assert np.max(np.abs(c[4 - n])) <= 1e-3
 
     def test_pure_mode_decays_quadratically(self):
         # radial trace e^{i 3 theta}: coefficient error is O(h^2)
@@ -205,20 +209,18 @@ class TestFourierCoefficients:
 
         errs = []
         for n_nodes in (32, 64, 128):
-            c = fourier_coefficients(equispaced_trace(n_nodes, values), 5)
-            errs.append(abs(c[3][0] - 1.0))
+            c = fourier_coefficients(*equispaced_trace(n_nodes, values), 5)
+            errs.append(abs(c[5 + 3, 0] - 1.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
     def test_zero_trace(self):
         tr = equispaced_trace(16, lambda th: np.zeros((len(th), 2)))
-        c = fourier_coefficients(tr, 6)
-        assert all(np.all(v == 0) for v in c.values())
+        assert np.all(fourier_coefficients(*tr, 6) == 0)
 
     def test_too_few_nodes(self):
-        tr = BoundaryTrace(np.array([0.0, 2.0]), np.zeros((2, 2), dtype=complex))
         with pytest.raises(EmptyBoundary):
-            fourier_coefficients(tr, 3)
+            fourier_coefficients(np.array([0.0, 2.0]), np.zeros((2, 2), dtype=complex), 3)
 
     def test_weights_match_dense_quadrature(self, rng):
         """Closed-form arc integrals vs brute-force trapezoid refinement."""
@@ -244,15 +246,15 @@ class TestFourierCoefficients:
     def test_parseval_inequality(self, rng):
         vals = rng.normal(size=(24, 2)) + 1j * rng.normal(size=(24, 2))
         tr = equispaced_trace(24, lambda th: vals)
-        c = fourier_coefficients(tr, 40)
-        lhs = 2 * np.pi * 1.0 * sum(float(np.sum(np.abs(v) ** 2)) for v in c.values())
-        assert lhs <= (1 + 1e-10) * trace_l2_sq(tr, 1.0)
+        c = fourier_coefficients(*tr, 40)
+        lhs = 2 * np.pi * 1.0 * float(np.sum(np.abs(c) ** 2))
+        assert lhs <= (1 + 1e-10) * trace_l2_sq(*tr, 1.0)
 
     def test_polar_conversion_per_node(self, rng):
         vals = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
         tr = equispaced_trace(12, lambda th: vals)
-        p = polar_components(tr)
-        th = tr.node_angles
+        th = tr[0]
+        p = polar_components(*tr)
         for j in (0, 4, 11):
             ur = vals[j, 0] * np.cos(th[j]) + vals[j, 1] * np.sin(th[j])
             ut = -vals[j, 0] * np.sin(th[j]) + vals[j, 1] * np.cos(th[j])
@@ -305,59 +307,54 @@ class TestBoundaryForm:
         self.spec = build_spectrum(example1_config(N=6))
 
     def test_direct_summation_oracle(self, rng):
+        th = 2 * np.pi * np.arange(48) / 48
         vals_u = rng.normal(size=(48, 2)) + 1j * rng.normal(size=(48, 2))
         vals_v = rng.normal(size=(48, 2)) + 1j * rng.normal(size=(48, 2))
-        tu = equispaced_trace(48, lambda th: vals_u)
-        tv = equispaced_trace(48, lambda th: vals_v)
-        got = dtn_boundary_form(self.spec, tu, tv)
-        cu = fourier_coefficients(tu, 6)
-        cv = fourier_coefficients(tv, 6)
+        got = dtn_boundary_form(self.spec, th, vals_u, vals_v)
+        cu = fourier_coefficients(th, vals_u, 6)
+        cv = fourier_coefficients(th, vals_v, 6)
         want = 0.0 + 0.0j
         for n in range(-6, 7):
-            Mu = self.spec.matrix_stack()[6 + n] @ cu[n]
-            want += Mu[0] * np.conj(cv[n][0]) + Mu[1] * np.conj(cv[n][1])
+            Mu = self.spec.matrix_stack()[6 + n] @ cu[6 + n]
+            want += Mu[0] * np.conj(cv[6 + n, 0]) + Mu[1] * np.conj(cv[6 + n, 1])
         want *= 2 * np.pi * self.spec.radius
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_u_gives_zero(self, rng):
-        tu = equispaced_trace(32, lambda th: np.zeros((len(th), 2)))
+        th, zero = equispaced_trace(32, lambda th: np.zeros((len(th), 2)))
         vals_v = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
-        tv = equispaced_trace(32, lambda th: vals_v)
-        assert dtn_boundary_form(self.spec, tu, tv) == 0
+        assert dtn_boundary_form(self.spec, th, zero, vals_v) == 0
 
     def test_linearity_in_first_argument(self, rng):
+        th = 2 * np.pi * np.arange(32) / 32
         vals_u = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
         vals_v = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
         alpha = 0.7 - 2.1j
-        tu = equispaced_trace(32, lambda th: vals_u)
-        tua = equispaced_trace(32, lambda th: alpha * vals_u)
-        tv = equispaced_trace(32, lambda th: vals_v)
-        a = dtn_boundary_form(self.spec, tua, tv)
-        b = dtn_boundary_form(self.spec, tu, tv)
+        a = dtn_boundary_form(self.spec, th, alpha * vals_u, vals_v)
+        b = dtn_boundary_form(self.spec, th, vals_u, vals_v)
         assert a == pytest.approx(alpha * b, rel=1e-12)
 
-    def test_node_set_mismatch(self):
-        tu = equispaced_trace(32, lambda th: np.zeros((len(th), 2)))
-        tv = equispaced_trace(48, lambda th: np.zeros((len(th), 2)))
-        with pytest.raises(NodeSetMismatch):
-            dtn_boundary_form(self.spec, tu, tv)
-
-    def test_matches_dense_assembly_block(self, rng):
+    @pytest.mark.parametrize("example", ["ex1", "ushape"])
+    def test_matches_dense_assembly_block(self, rng, example):
         """The mode-sum form and the assembled dense DtN block are two
-        routes to the same sesquilinear form: v^H D u = form(u, v)."""
-        from elastodtn import example1_mesh
-        from elastodtn.assembly import dtn_block, outer_trace
+        routes to the same sesquilinear form: v^H D u = form(u, v).  The
+        U-shape start mesh has a polygonal obstacle, R = 3 and N = 97."""
+        from elastodtn.assembly import dtn_block
         from elastodtn.verify import exact_solution_example1
 
-        mesh = example1_mesh(24, 2)
-        cfg = example1_config(N=6)
-        dofs, D = dtn_block(mesh, self.spec)
+        if example == "ex1":
+            mesh, cfg, spec = example1_mesh(24, 2), example1_config(N=6), self.spec
+            u_nodal = exact_solution_example1(cfg, mesh.vertices)[0]
+        else:
+            mesh, cfg = example2_mesh(), example2_config()
+            spec = build_spectrum(cfg)
+            u_nodal = rng.normal(size=(len(mesh.vertices), 2)) + 1j * rng.normal(
+                size=(len(mesh.vertices), 2))
+        dofs, D = dtn_block(mesh, spec)
 
-        u_nodal = exact_solution_example1(cfg, mesh.vertices)[0]
         v_nodal = rng.normal(size=u_nodal.shape) + 1j * rng.normal(size=u_nodal.shape)
-        got = dtn_boundary_form(
-            self.spec, outer_trace(mesh, u_nodal), outer_trace(mesh, v_nodal)
-        )
+        idx, th = mesh.outer_vertex_order()
+        got = dtn_boundary_form(spec, th, u_nodal[idx], v_nodal[idx])
         want = np.conj(v_nodal.ravel()[dofs]) @ (D @ u_nodal.ravel()[dofs])
         assert got == pytest.approx(complex(want), rel=1e-12)
 
@@ -370,15 +367,38 @@ class TestBoundaryForm:
             radial = np.exp(1j * n_mode * th)
             return np.stack([radial * np.cos(th), radial * np.sin(th)], axis=1)
 
-        tu = equispaced_trace(n_nodes, values)
-        tv = equispaced_trace(n_nodes, values)
-        got = dtn_boundary_form(spec, tu, tv)
-        cu = fourier_coefficients(tu, 6)
+        th, vals = equispaced_trace(n_nodes, values)
+        got = dtn_boundary_form(spec, th, vals, vals)
+        cu = fourier_coefficients(th, vals, 6)[6 + n_mode]
         single = 2 * np.pi * spec.radius * np.dot(
-            spec.matrix_stack()[6 + n_mode] @ cu[n_mode], np.conj(cu[n_mode])
+            spec.matrix_stack()[6 + n_mode] @ cu, np.conj(cu)
         )
         # off-mode content is interpolation spill-over, quadratically small
         assert abs(got - single) <= 5e-3 * abs(got)
+
+
+class TestOuterModeBasis:
+    def test_matches_reference_coefficients_on_uneven_nodes(self, rng):
+        """B @ v[dofs] against the reference W @ polar route, on an ex1 mesh
+        whose outer triangles in the first quadrant were refined twice, so
+        the outer nodes there lie twice as close as elsewhere."""
+        mesh = example1_mesh(32, 2)
+        for _ in range(2):
+            outer = mesh.edge_tris[mesh.edge_tags == OUTER, 0]
+            centroid = mesh.vertices[mesh.triangles[outer]].mean(axis=1)
+            mesh = refine(mesh, outer[(centroid[:, 0] > 0) & (centroid[:, 1] > 0)])
+        idx, th = mesh.outer_vertex_order()
+        gaps = np.diff(np.concatenate([th, [th[0] + 2 * np.pi]]))
+        assert gaps.max() > 1.5 * gaps.min()
+
+        N = 35
+        v = rng.normal(size=(len(mesh.vertices), 2)) + 1j * rng.normal(
+            size=(len(mesh.vertices), 2))
+        dofs, B = outer_mode_basis(mesh, np.arange(-N, N + 1))
+        assert B.shape == (2 * N + 1, 2, 2 * len(idx))
+        got = B @ v.ravel()[dofs]
+        want = fourier_coefficients(th, v[idx], N)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestTruncationError:

@@ -175,27 +175,45 @@ class TestModeScalars:
 
 class TestHankelRatioGap:
     def test_equal_wavenumbers_give_zero(self):
-        assert hankel_ratio_gap(10, K2, K2, 0.5, 1.0) == 0.0
+        assert np.all(hankel_ratio_gap(np.array([0, 10]), K2, K2, 0.5, 1.0) == 0.0)
 
     def test_bound_at_n60(self):
-        g = hankel_ratio_gap(60, K1, K2, 0.5, 1.0)
+        g = hankel_ratio_gap(np.array([60]), K1, K2, 0.5, 1.0)[0]
         bound = K2 * (K2 - K1) * (1.0 - 0.25) * 0.5**60 / 59
         assert g <= bound
 
     @pytest.mark.parametrize("n", list(range(30, 121, 5)))
     def test_bound_over_range(self, n):
-        g = hankel_ratio_gap(n, K1, K2, 0.5, 1.0)
+        g = hankel_ratio_gap(np.array([n]), K1, K2, 0.5, 1.0)[0]
         bound = K2 * (K2 - K1) * (1.0 - 0.25) * 0.5**n / (n - 1)
         assert g <= bound
 
     def test_exponential_rate_dominates(self):
-        g30 = hankel_ratio_gap(30, K1, K2, 0.5, 1.0)
-        g40 = hankel_ratio_gap(40, K1, K2, 0.5, 1.0)
+        g30, g40 = hankel_ratio_gap(np.array([30, 40]), K1, K2, 0.5, 1.0)
         assert g40 / g30 <= 0.5**10 * (29.0 / 39.0) * 4.0
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
-            hankel_ratio_gap(10, K1, K2, 1.0, 0.5)
+            hankel_ratio_gap(np.array([10]), K1, K2, 1.0, 0.5)
+
+    def test_array_matches_single_orders(self):
+        """The ladders of the top order serve every lower order: the Miller
+        start moves with the top order, the values by at most 1e-12."""
+        ns = np.arange(30, 121)
+        together = hankel_ratio_gap(ns, K1, K2, 0.5, 1.0)
+        alone = np.array([hankel_ratio_gap(ns[i : i + 1], K1, K2, 0.5, 1.0)[0]
+                          for i in range(ns.size)])
+        assert np.max(np.abs(together - alone) / alone) <= 1e-12
+
+    def test_mpmath_spot_values(self):
+        mpmath = pytest.importorskip("mpmath")
+        ns = np.array([30, 75, 120])
+        got = hankel_ratio_gap(ns, K1, K2, 0.5, 1.0)
+        with mpmath.workdps(40):
+            for n, g in zip(ns.tolist(), got):
+                r1, r2 = (mpmath.hankel1(n, k) / mpmath.hankel1(n, 0.5 * k) for k in (K1, K2))
+                want = float(abs(r1 - r2))
+                assert abs(g - want) <= 1e-12 * want
 
 
 def _relerr(got, want):
