@@ -56,10 +56,22 @@ default: panel_size=32 corrupts the heap in scipy 1.17.1 (the process
 aborts on exit, even at 512 free DoF).
 
 The matrix is indefinite (the -omega^2 mass term and the complex DtN
-block), so threshold partial pivoting keeps SuperLU's default
-threshold: without row interchanges the relative residual grew with the
-frequency, to 2.6e-12 at omega = 8 pi and 33 k free DoF, against 1e-13
-with them.
+block), so rows may still be interchanged, but only when a diagonal
+entry is below _PIVOT_THRESH = 0.01 times the largest entry of its
+column.  SuperLU's default threshold of 1.0 interchanged rows far from
+omega = pi and so broke the symmetric ordering: on the ex1 mesh refined
+uniformly twice (8 192 free DoF) the factor stored 3.61 M entries at
+omega = 50 and 30.8 M at omega = 200 (73 s), against 0.84 M at omega = pi.
+At 0.01 it stores 0.90 M and 1.99 M.  Without any interchange
+(threshold 0) a complex symmetric matrix with a zero diagonal is left
+with a relative residual of order one.  The smaller threshold costs
+digits away from omega = pi (8.1e-13 at omega = 50, 3.4e-11 at
+omega = 200), so where the first relative residual exceeds _REFINE_ABOVE
+= 1e-13, at most _REFINE_STEPS steps of iterative refinement with the
+same factors follow; one step brought those residuals to 6.7e-15 and
+1.2e-14.  At omega = pi no row leaves the diagonal at either threshold
+and the residual stays near 1e-14, so those solves are unchanged and
+make no extra step.
 """
 
 from __future__ import annotations
@@ -85,6 +97,11 @@ from .mesh import OBSTACLE, Mesh, format_rows
 from .specfun import hankel01
 
 TWO_PI = 2.0 * math.pi
+# solve(): SuperLU's diagonal pivot threshold, and the relative residual
+# above which up to _REFINE_STEPS refinement steps follow the first solve
+_PIVOT_THRESH = 0.01
+_REFINE_ABOVE = 1e-13
+_REFINE_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -378,23 +395,34 @@ def assemble(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum) -> Linear
 
 
 def solve(system: LinearSystem) -> SolutionField:
-    """Direct sparse factorization; checks the relative residual."""
+    """Direct sparse factorization, refined with the same factors while the
+    relative residual exceeds _REFINE_ABOVE; the final one must not exceed
+    1e-10."""
+    A, b = system.matrix, system.rhs
     try:
         lu = spla.splu(
-            system.matrix,
+            A,
             permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=_PIVOT_THRESH,
             options=dict(SymmetricMode=True),
             relax=1,
         )
-        x = lu.solve(system.rhs)
+        x = lu.solve(b)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystem(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularSystem("solution contains non-finite entries")
-    rnorm = np.linalg.norm(system.matrix @ x - system.rhs)
-    bnorm = np.linalg.norm(system.rhs)
-    if bnorm > 0.0 and rnorm / bnorm > 1e-10:
-        raise SingularSystem(f"relative residual {rnorm / bnorm:.3e} exceeds 1e-10")
+    bnorm = np.linalg.norm(b)
+    r = b - A @ x
+    rel = np.linalg.norm(r) / bnorm if bnorm > 0.0 else 0.0
+    for _ in range(_REFINE_STEPS):
+        if rel <= _REFINE_ABOVE:
+            break
+        x += lu.solve(r)
+        r = b - A @ x
+        rel = np.linalg.norm(r) / bnorm
+    if not rel <= 1e-10:
+        raise SingularSystem(f"relative residual {rel:.3e} exceeds 1e-10")
     full = np.zeros(2 * len(system.mesh.vertices), dtype=np.complex128)
     full[system.free_dofs] = x
     full[system.dirichlet_dofs] = system.dirichlet_values

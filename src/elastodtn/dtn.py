@@ -129,6 +129,17 @@ def _exp_moments(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E, G
 
 
+def _arcs(theta: np.ndarray) -> np.ndarray:
+    """Angular lengths of the arcs from each node to the next, the last
+    closing the circle; the nodes must increase strictly within one turn."""
+    if theta.size < 3:
+        raise EmptyBoundary(f"need at least 3 boundary nodes, got {theta.size}")
+    delta = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
+    if np.any(delta <= 0.0):
+        raise InvalidParameter("node angles must be strictly increasing within one turn")
+    return delta
+
+
 def mode_weights(node_angles: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """Hat-function Fourier transform matrix W with W[k, j] the coefficient
     weight of node j in mode ns[k]:  u_hat_n = sum_j W[n, j] u_j.
@@ -137,12 +148,8 @@ def mode_weights(node_angles: np.ndarray, ns: np.ndarray) -> np.ndarray:
     circle; the n = 0 row reduces to the trapezoid rule.
     """
     theta = np.asarray(node_angles, dtype=np.float64)
-    if theta.size < 3:
-        raise EmptyBoundary(f"need at least 3 boundary nodes, got {theta.size}")
-    if np.any(np.diff(theta) <= 0.0):
-        raise InvalidParameter("node angles must be strictly increasing")
+    delta = _arcs(theta)
     ns = np.asarray(ns, dtype=np.float64)
-    delta = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
     s = -1j * ns[:, None] * delta[None, :]
     E, G = _exp_moments(s)
     phase = np.exp(-1j * ns[:, None] * theta[None, :])
@@ -192,7 +199,7 @@ def trace_l2_sq(node_angles: np.ndarray, values: np.ndarray, radius: float) -> f
     """Squared circle L2 norm of the piecewise-linear polar interpolant."""
     p = polar_components(node_angles, values)
     q = np.roll(p, -1, axis=0)
-    delta = np.diff(np.concatenate([node_angles, [node_angles[0] + TWO_PI]]))
+    delta = _arcs(np.asarray(node_angles, dtype=np.float64))
     arc = (
         np.sum(np.abs(p) ** 2 + np.abs(q) ** 2, axis=1)
         + np.sum((p * q.conj()).real, axis=1)

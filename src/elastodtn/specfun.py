@@ -3,29 +3,36 @@ r"""Stable evaluation of Bessel and Hankel functions of integer order.
 Everything the solver needs reduces to :math:`J_n(z)` and :math:`Y_n(z)` for
 real :math:`z > 0` and orders up to about a thousand.
 
-:math:`J_0, J_1, Y_0, Y_1` come from one kernel, ``jy01``, whose cost per
-point does not grow with :math:`z`:
+:math:`J_0, J_1, Y_0, Y_1` come from one kernel, ``jy01``, whose work per
+point is sized to the arguments of each chunk of points:
 
 * :math:`z \ge 25`: Hankel's asymptotic expansion (DLMF 10.17.3),
   :math:`H_\nu^{(1)}(z) = \sqrt{2/(\pi z)}\, e^{i(z - \nu\pi/2 - \pi/4)}
-  \sum_{k<22} i^k a_k(\nu) z^{-k}`, summed by Horner's rule in
-  :math:`1/z^2`.  The first omitted term is below 1e-18 at :math:`z = 25`.
+  \sum_{k<K} i^k a_k(\nu) z^{-k}`, summed by Horner's rule in
+  :math:`1/z^2`.  K is the fewest terms whose first omitted term is below
+  1e-18 at the chunk's smallest z, at most 22 (reached at z = 25), 8 at
+  z = 250 and 6 at z = 1000; for real z that term bounds the remainder.
   The phase uses :math:`\cos z` and :math:`\sin z` of the argument itself.
-* :math:`z < 25`: Miller's downward recurrence from above the turning
-  point, normalized with :math:`J_0 + 2\sum_{k\ge 1} J_{2k} = 1`.  Only
-  two consecutive orders are stored; the normalization sum and Neumann's
-  series :math:`Y_0 = \tfrac{2}{\pi}[(\ln(z/2)+\gamma)J_0
+* :math:`z < 25`: Miller's downward recurrence, normalized with
+  :math:`J_0 + 2\sum_{k\ge 1} J_{2k} = 1` and started 4 orders above the
+  smallest m with :math:`(z/2)^m/m! < 10^{-17}` at the chunk's largest z,
+  a bound on :math:`J_m(z)` (DLMF 10.14.4): 27 steps at z = pi, 66 just
+  below 25.  Only two consecutive orders are stored; the normalization sum
+  and Neumann's series :math:`Y_0 = \tfrac{2}{\pi}[(\ln(z/2)+\gamma)J_0
   + 2\sum_k (-1)^{k+1} J_{2k}/k]` and its derivative for :math:`Y_1`
   accumulate as the recurrence descends, so the series run to its start
   order.
 
 Against ``scipy.special.hankel1`` the relative error of :math:`H_0` and
-:math:`H_1` is at most 3.4e-15 over :math:`z \in [10^{-3}, 2\cdot 10^3]`.
+:math:`H_1` is at most 3.1e-15 over :math:`z \in [10^{-10}, 2\cdot 10^3]`,
+both for one call on the whole range and for calls on narrow windows of
+it, where each window gets its own start and term count.
 
 Orders 0..n_max at one argument come from a single ladder, built afresh on
 every call (results never depend on earlier calls):
 
-* :math:`J_n` by Miller's downward recurrence with the same start rule;
+* :math:`J_n` by Miller's downward recurrence, started above both n_max
+  and the turning point (``_miller_start``);
 * :math:`Y_n` by the (upward-stable) forward recurrence from the ``jy01``
   seeds :math:`Y_0, Y_1`, carried as a mantissa/log-scale pair so that
   orders far beyond the overflow point of a plain double remain usable in
@@ -55,10 +62,15 @@ _MAX_ORDER = 1024
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _LOG_MAX = math.log(np.finfo(np.float64).max)
-# jy01: Hankel's expansion with this many terms from this argument on,
-# Miller's recurrence below it; points go through in chunks of _CHUNK
+# jy01: Hankel's expansion from _ASYMPTOTIC_SWITCH on, with at most
+# _ASYMPTOTIC_TERMS terms and a first omitted term below _ASYMPTOTIC_TOL;
+# Miller's recurrence below it, started where (z/2)^m / m! < _MILLER_TOL,
+# _MILLER_MARGIN orders higher; points go through in chunks of _CHUNK
 _ASYMPTOTIC_SWITCH = 25.0
 _ASYMPTOTIC_TERMS = 22
+_ASYMPTOTIC_TOL = 1e-18
+_MILLER_TOL = 1e-17
+_MILLER_MARGIN = 4
 _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ def _ladder(n_max: int, z: float):
             f"order {n_max} exceeds the supported maximum {_MAX_ORDER}"
         )
     J = _miller_j(n_max, z)
-    _, _, y0, y1 = (float(v[0]) for v in _jy01_chunk(np.array([z])))
+    _, _, y0, y1 = (float(v[0]) for v in jy01(np.array([z])))
     mant = np.zeros(n_max + 1)
     slog = np.zeros(n_max + 1)
     mant[0] = y0
@@ -244,36 +256,55 @@ def hankel_ratio_gap(ns, kappa1: float, kappa2: float, R_hat: float, R: float) -
 
 
 def _hankel_series(nu: int) -> np.ndarray:
-    """Coefficients of P_nu and Q_nu in powers of 1/z^2, lowest first.
-
-    H_nu(z) = sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} (P + iQ) with
-    P + iQ = sum_k i^k a_k(nu) z^{-k}: P sums the even k and z Q the odd
-    k, both with alternating signs.
-    """
+    """The coefficients of P + iQ = sum_k i^k a_k(nu) z^-k (DLMF 10.17.3)
+    for k = 0.._ASYMPTOTIC_TERMS, one beyond the cap for the omitted-term
+    test, as reals: P sums the even k and z Q the odd k, the signs of
+    i^k folded in as +, +, -, -, ..."""
     a = [1.0]
-    for k in range(1, _ASYMPTOTIC_TERMS):
+    for k in range(1, _ASYMPTOTIC_TERMS + 1):
         a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
-    signs = (-1.0) ** np.arange(_ASYMPTOTIC_TERMS // 2)
-    return np.array([signs * a[0::2], signs * a[1::2]])
+    return np.where(np.arange(len(a)) // 2 % 2, -1.0, 1.0) * a
 
 
-# axis 0: powers of 1/z^2, highest first (for Horner); axis 1: P_0, Q_0, P_1, Q_1
-_HANKEL_PQ = np.concatenate([_hankel_series(0), _hankel_series(1)]).T[::-1, :, None]
+# row nu: the signed coefficients of P_nu + iQ_nu, lowest order first
+_HANKEL_COEFS = np.array([_hankel_series(0), _hankel_series(1)])
+_LOG_HANKEL_ABS = np.log(np.abs(_HANKEL_COEFS).max(axis=0))
+
+
+def _hankel_terms(z_min: float) -> int:
+    """Terms of Hankel's expansion summed for arguments >= z_min: the
+    fewest whose first omitted term, max over nu = 0, 1 of |a_k(nu)| z^-k,
+    is below _ASYMPTOTIC_TOL at z_min, at least 2 and at most
+    _ASYMPTOTIC_TERMS.  For real z the remainder of P and Q is bounded
+    by the first omitted term (DLMF 10.17.iii)."""
+    k = np.arange(_LOG_HANKEL_ABS.size)
+    small = _LOG_HANKEL_ABS - k * math.log(z_min) < math.log(_ASYMPTOTIC_TOL)
+    return int(np.clip(np.argmax(small) if small.any() else k[-1], 2, _ASYMPTOTIC_TERMS))
+
+
+def _horner(coefs, x: np.ndarray) -> np.ndarray:
+    """sum_i coefs[i] x^i for 1-D x, in place on one array."""
+    acc = np.full_like(x, coefs[-1])
+    for c in coefs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 def _jy01_asymptotic(z: np.ndarray):
-    """Hankel's expansion (DLMF 10.17.3) for z >= 25, Horner in 1/z^2.
+    """Hankel's expansion (DLMF 10.17.3) for z >= 25, Horner in 1/z^2 with
+    the term count of _hankel_terms(min z).
 
     The phase e^{i(z - nu pi/2 - pi/4)} is split into e^{iz}, from cos z
     and sin z of the argument itself, and a constant factor, so no digits
     of z are lost to a shifted argument.
     """
+    terms = _hankel_terms(float(z.min()))
     w = 1.0 / z
     w2 = w * w
-    pq = _HANKEL_PQ[0] * np.ones_like(z)
-    for c in _HANKEL_PQ[1:]:
-        pq = pq * w2 + c
-    p0, q0, p1, q1 = pq[0], w * pq[1], pq[2], w * pq[3]
+    (p0, q0), (p1, q1) = (
+        (_horner(c[0:terms:2], w2), w * _horner(c[1:terms:2], w2)) for c in _HANKEL_COEFS
+    )
     c, s = np.cos(z), np.sin(z)
     amp = 1.0 / np.sqrt(math.pi * z)
     # e^{-i pi/4} (P0 + iQ0) = (A0 + iB0) / sqrt 2, e^{-3i pi/4} (P1 + iQ1) likewise
@@ -287,14 +318,27 @@ def _jy01_asymptotic(z: np.ndarray):
     )
 
 
+def _jy01_start(z_max: float) -> int:
+    """Start order of _jy01_miller: the smallest m with
+    (z_max/2)^m / m! < _MILLER_TOL, a bound on J_m(z) for every z <= z_max
+    (DLMF 10.14.4), plus _MILLER_MARGIN.  It gives 27 at z = pi and 66
+    just below 25."""
+    log_half_z, log_tol = math.log(0.5 * z_max), math.log(_MILLER_TOL)
+    m = 1
+    while m * log_half_z - math.lgamma(m + 1) >= log_tol:
+        m += 1
+    return m + _MILLER_MARGIN
+
+
 def _jy01_miller(z: np.ndarray):
     """Miller's recurrence without a table, for z < 25.
 
-    Only F_n and F_{n+1} are kept; the normalization sum_k F_{2k} and the
-    Neumann series of Y_0 and Y_1 accumulate as the recurrence descends,
-    so the series run to the start order.
+    It starts at _jy01_start(max z).  Only F_n and F_{n+1} are kept; the
+    normalization sum_k F_{2k} and the Neumann series of Y_0 and Y_1
+    accumulate as the recurrence descends, so the series run to the start
+    order.
     """
-    start = _miller_start(1, float(z.max()))
+    start = _jy01_start(float(z.max()))
     seed = 1e-300
     # |F_{n-1}| <= (1 + 2n/z) max(|F_n|, |F_{n+1}|): where the product of
     # these factors keeps the seed below _RESCALE, no step can rescale
@@ -328,37 +372,49 @@ def _jy01_miller(z: np.ndarray):
     return j0, j1, y0, y1
 
 
-def _jy01_chunk(z: np.ndarray) -> np.ndarray:
-    """Rows J_0, J_1, Y_0, Y_1, each point from the regime of its argument."""
-    big = z >= _ASYMPTOTIC_SWITCH
-    out = np.empty((4, z.size))
-    if big.any():
-        out[:, big] = _jy01_asymptotic(z[big])
-    if not big.all():
-        out[:, ~big] = _jy01_miller(z[~big])
-    return out
+def _jy01_into(z: np.ndarray, rows) -> None:
+    """J_0, J_1, Y_0, Y_1 of the 1-D arguments z into the four writable
+    1-D arrays rows, in chunks of _CHUNK points.  Each point comes from the
+    regime of its argument; a chunk in one regime is not split."""
+    for lo in range(0, z.size, _CHUNK):
+        part = z[lo : lo + _CHUNK]
+        dest = [r[lo : lo + _CHUNK] for r in rows]
+        big = part >= _ASYMPTOTIC_SWITCH
+        if big.all() or not big.any():
+            kernel = _jy01_asymptotic if big[0] else _jy01_miller
+            for d, v in zip(dest, kernel(part)):
+                d[...] = v
+            continue
+        for mask, kernel in ((big, _jy01_asymptotic), (~big, _jy01_miller)):
+            for d, v in zip(dest, kernel(part[mask])):
+                d[mask] = v
 
 
-def jy01(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (J_0, J_1, Y_0, Y_1) over an array of positive arguments.
-
-    Arguments z >= 25 use Hankel's asymptotic expansion with 22 terms;
-    smaller ones use Miller's recurrence with the Neumann series for Y_0
-    and Y_1 summed on the way down.  The cost per point does not grow with
-    z, and points go through in chunks of 2^16, so memory stays O(chunk).
-    Against ``scipy.special.hankel1`` the relative error of H_0 and H_1
-    is at most 3.4e-15 over z in [1e-3, 2e3].  The order ladder seeds its
-    Y recurrence from the same kernel.
-    """
+def _arguments(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not np.all((z > 0.0) & (z < np.inf)):  # NaN fails both
         if np.any(z <= 0.0):
             raise NonPositiveArgument("arguments must be positive")
         raise InvalidParameter("arguments must be finite")
-    flat = z.ravel()
-    out = np.empty((4, flat.size))
-    for lo in range(0, flat.size, _CHUNK):
-        out[:, lo : lo + _CHUNK] = _jy01_chunk(flat[lo : lo + _CHUNK])
+    return z
+
+
+def jy01(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized (J_0, J_1, Y_0, Y_1) over an array of positive arguments.
+
+    Points go through in chunks of 2^16, so memory stays O(chunk).  In a
+    chunk, arguments z >= 25 use Hankel's asymptotic expansion with as
+    many terms as its smallest such z needs (22 at z = 25, 8 at 250);
+    smaller ones use Miller's recurrence, started where (z/2)^m / m! at
+    their largest z falls below 1e-17, plus 4 orders (27 steps at z = pi,
+    66 below 25), with the Neumann series for Y_0 and Y_1 summed on the
+    way down.  Against ``scipy.special.hankel1`` the relative error of H_0
+    and H_1 is at most 3.1e-15 over z in [1e-10, 2e3].  The order ladder
+    seeds its Y recurrence from the same kernel.
+    """
+    z = _arguments(z)
+    out = np.empty((4, z.size))
+    _jy01_into(z.ravel(), out)
     return tuple(o.reshape(z.shape) for o in out)
 
 
@@ -368,7 +424,11 @@ def hankel01(z):
     H_0' = -H_1 and H_1' = H_0 - H_1/z; this is the workhorse for field
     evaluation on point clouds.
     """
-    j0, j1, y0, y1 = jy01(z)
-    h0 = j0 + 1j * y0
-    h1 = j1 + 1j * y1
-    return h0, h1, -h1, h0 - h1 / np.asarray(z, dtype=np.float64)
+    z = _arguments(z)
+    flat = z.ravel()
+    h0 = np.empty(flat.size, dtype=np.complex128)
+    h1 = np.empty(flat.size, dtype=np.complex128)
+    _jy01_into(flat, (h0.real, h1.real, h0.imag, h1.imag))
+    dh1 = h1 / flat
+    np.subtract(h0, dh1, out=dh1)
+    return tuple(h.reshape(z.shape) for h in (h0, h1, -h1, dh1))

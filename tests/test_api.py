@@ -24,6 +24,10 @@ def test_star_import():
 
 BAD_INPUTS = {
     "dtn.mode_weights": lambda: dtn.mode_weights(np.array([0.0, 1.0, 1.0, 2.0]), np.arange(3)),
+    "dtn.fourier_coefficients beyond one turn": lambda: dtn.fourier_coefficients(
+        np.array([0.0, 1.0, 7.0]), np.ones((3, 2)), 1),
+    "dtn.trace_l2_sq beyond one turn": lambda: dtn.trace_l2_sq(
+        np.array([0.0, 1.0, 7.0]), np.ones((3, 2)), 1.0),
     "specfun.bessel_jy": lambda: specfun.bessel_jy(-1, 1.0),
     "specfun.bessel_jy inf": lambda: specfun.bessel_jy(3, math.inf),
     "specfun.bessel_jy nan": lambda: specfun.bessel_jy(3, math.nan),

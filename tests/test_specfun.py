@@ -272,6 +272,28 @@ class TestJy01Oracles:
         assert peak < 50e6
 
 
+class TestJy01FittedRules:
+    """The Miller start follows the largest argument of a call and the
+    expansion length the smallest, so each is checked on narrow windows:
+    one hankel01 call per window [a, 1.05 a], 200 points each, the windows
+    overlapping from 1e-10 to 2e3."""
+
+    STARTS = np.geomspace(1e-10, 2e3 / 1.05, 640)
+
+    def test_every_window_against_scipy(self):
+        worst = 0.0
+        for a in self.STARTS:
+            z = np.geomspace(a, 1.05 * a, 200)
+            h0, h1, _, _ = hankel01(z)
+            worst = max(worst, _relerr(h0, sc.hankel1(0, z)), _relerr(h1, sc.hankel1(1, z)))
+        assert worst <= 1e-14
+
+    def test_counts_shrink_with_the_argument(self):
+        assert specfun._jy01_start(math.pi) <= 30
+        assert specfun._hankel_terms(250.0) <= 12
+        assert specfun._hankel_terms(specfun._ASYMPTOTIC_SWITCH) == specfun._ASYMPTOTIC_TERMS
+
+
 class TestModeScalarsHighFrequency:
     """alpha_jn against scipy's h1vp/hankel1 up to the order cap."""
 
