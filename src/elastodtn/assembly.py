@@ -177,14 +177,6 @@ class SolutionField:
     values: np.ndarray
     dirichlet_mask: np.ndarray
 
-    @property
-    def generation(self) -> int:
-        return self.mesh.generation
-
-    @property
-    def dof(self) -> int:
-        return len(self.mesh.vertices)
-
     @cached_property
     def jacobians(self) -> np.ndarray:
         """(T, 2, 2): jacobians[t, a, b] = d u_a / d x_b, constant on
@@ -231,10 +223,10 @@ def incident_field(config: ProblemConfig, points) -> np.ndarray:
     if np.any(r == 0.0):
         raise OriginEvaluation("hankel0 incident field is singular at the origin")
     k1, k2 = config.kappa1, config.kappa2
-    _, _, dh0_1, _ = hankel01(k1 * r)
-    _, _, dh0_2, _ = hankel01(k2 * r)
-    a = -k1 * dh0_1 / r
-    b = -k2 * dh0_2 / r
+    _, h1_1 = hankel01(k1 * r)
+    _, h1_2 = hankel01(k2 * r)
+    a = k1 * h1_1 / r  # -k1 H_0'(k1 r) / r, as H_0' = -H_1
+    b = k2 * h1_2 / r
     out = np.empty((len(pts), 2), dtype=np.complex128)
     out[:, 0] = a * pts[:, 0] + b * pts[:, 1]
     out[:, 1] = a * pts[:, 1] - b * pts[:, 0]

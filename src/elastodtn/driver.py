@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from . import assembly, estimator, mesh as meshmod, verify
 from .assembly import IncidentWave, ProblemConfig
 from .dtn import DtnSpectrum, build_spectrum, select_truncation, spectrum_table
-from .errors import ElastoDtnError, IterationCapReached
+from .errors import ElastoDtnError, InvalidParameter, IterationCapReached
 from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
 
 
@@ -111,8 +111,7 @@ def _solve_once(config, mesh_, spectrum):
 def _record(it, field, report, t0) -> RunRecord:
     e_h = None
     if field.config.incident.kind == "hankel0":
-        e_h, energy = verify.errors_vs_exact(field)
-        report.e_h, report.energy_error = e_h, energy
+        e_h, _ = verify.errors_vs_exact(field)
     return RunRecord(
         iteration=it,
         dof=report.dof,
@@ -211,8 +210,11 @@ def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
 
 # -- configuration plumbing -------------------------------------------------
 
-_FLOAT_KEYS = {"omega", "lambda", "mu", "R", "R_hat", "theta", "tol"}
-_INT_KEYS = {"N", "max_iters", "example", "max_dof", "rounds"}
+_KEY_TYPES = {  # config-file key -> value type
+    **dict.fromkeys(("omega", "lambda", "mu", "R", "R_hat", "theta", "tol"), float),
+    **dict.fromkeys(("N", "max_iters", "example"), int),
+    "mesh": str,
+}
 # CLI flag (argparse dest, also the config-file key) -> ProblemConfig field
 _CONFIG_FIELDS = {
     "omega": "omega",
@@ -228,22 +230,30 @@ _CONFIG_FIELDS = {
 
 
 def load_config_file(path) -> dict:
-    """key = value lines; # starts a comment; keys mirror the CLI flags."""
+    """key = value lines (# starts a comment) of the problem flags: the
+    floats omega, lambda, mu, R, R_hat, theta, tol, the integers N,
+    max_iters, example (1 or 2), and mesh, a path.  Any other key (out,
+    max_dof and rounds are flags only), a value of the wrong type or
+    another example raises InvalidParameter naming path:line."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ElastoDtnError(f"{path}:{lineno}: expected 'key = value'")
+                raise ElastoDtnError(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            else:
-                out[key] = value
+            kind = _KEY_TYPES.get(key)
+            if kind is None:
+                raise InvalidParameter(f"{where}: unknown key {key!r}")
+            try:
+                out[key] = kind(value)
+            except ValueError:
+                raise InvalidParameter(f"{where}: {key} = {value!r} is not {kind.__name__}") from None
+            if key == "example" and out[key] not in (1, 2):
+                raise InvalidParameter(f"{where}: example must be 1 or 2, got {value}")
     return out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .assembly import SolutionField, check_consistent, incident_h1
 from .dtn import DtnSpectrum, outer_mode_basis, truncation_error
-from .mesh import OBSTACLE, OUTER, Mesh, format_rows
+from .mesh import OUTER, Mesh, format_rows
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 _GAUSS_T = 0.5 * (_GAUSS_X + 1.0)  # nodes on (0, 1)
@@ -45,8 +45,6 @@ class EstimateReport:
     eps_h: float
     eps_N: float
     dof: int
-    e_h: float | None = None
-    energy_error: float | None = None
 
 
 def element_residuals(field: SolutionField) -> np.ndarray:
@@ -66,16 +64,12 @@ def interior_jumps(field: SolutionField) -> np.ndarray:
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
 
-    pa = mesh.vertices[mesh.edges[interior, 0]]
-    pb = mesh.vertices[mesh.edges[interior, 1]]
-    tang = pb - pa
+    # either unit normal will do: flipping it (or swapping the two
+    # triangles) flips the sign of J_e, and only |J_e| is returned
+    ends = mesh.vertices[mesh.edges[interior]]
+    tang = ends[:, 1] - ends[:, 0]
     nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
     nu /= np.linalg.norm(nu, axis=1)[:, None]
-    # orient nu outward from triangle 1
-    centroid1 = mesh.vertices[mesh.triangles[t1]].mean(axis=1)
-    mid = 0.5 * (pa + pb)
-    flip = np.sum(nu * (centroid1 - mid), axis=1) > 0.0
-    nu[flip] *= -1.0
 
     dG = G[t1] - G[t2]
     ddiv = div[t1] - div[t2]
@@ -154,7 +148,6 @@ def global_estimate(
     cfg, mesh = field.config, field.mesh
     check_consistent(mesh, cfg, spectrum)
     jump_sq = (interior_jumps(field) + boundary_jumps(field, spectrum)) ** 2
-    jump_sq[mesh.edge_tags == OBSTACLE] = 0.0
     per_tri = 0.5 * np.sum((mesh.edge_lengths * jump_sq)[mesh.tri_edges], axis=1)
     eta = element_residuals(field) + np.sqrt(per_tri)
     eps_h = math.sqrt(float(np.sum(eta**2)))

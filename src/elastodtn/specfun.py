@@ -419,16 +419,14 @@ def jy01(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def hankel01(z):
-    """Vectorized (H_0, H_1, H_0', H_1') of the first kind.
+    """Vectorized (H_0, H_1) of the first kind, shaped like z.
 
-    H_0' = -H_1 and H_1' = H_0 - H_1/z; this is the workhorse for field
-    evaluation on point clouds.
+    The workhorse for field evaluation on point clouds.  Callers that
+    need derivatives form them from H_0' = -H_1 and H_1' = H_0 - H_1/z.
     """
     z = _arguments(z)
     flat = z.ravel()
     h0 = np.empty(flat.size, dtype=np.complex128)
     h1 = np.empty(flat.size, dtype=np.complex128)
     _jy01_into(flat, (h0.real, h1.real, h0.imag, h1.imag))
-    dh1 = h1 / flat
-    np.subtract(h0, dh1, out=dh1)
-    return tuple(h.reshape(z.shape) for h in (h0, h1, -h1, dh1))
+    return h0.reshape(z.shape), h1.reshape(z.shape)

@@ -59,6 +59,12 @@ class HelmholtzReport:
     curl_max: float
 
 
+def _h0_derivatives(z):
+    """(H_0, H_0' = -H_1, H_0'' = -H_1' = -(H_0 - H_1/z)) at the arguments z."""
+    h0, h1 = hankel01(z)
+    return h0, -h1, -(h0 - h1 / z)
+
+
 def exact_solution_example1(config: ProblemConfig, points):
     """Benchmark scattered field and its Jacobian.
 
@@ -73,10 +79,8 @@ def exact_solution_example1(config: ProblemConfig, points):
     k1, k2 = config.kappa1, config.kappa2
     x, y = pts[:, 0], pts[:, 1]
 
-    h0_1, h1_1, dh0_1, dh1_1 = hankel01(k1 * r)
-    h0_2, h1_2, dh0_2, dh1_2 = hankel01(k2 * r)
-    ddh0_1 = -dh1_1  # H0'' = -H1'
-    ddh0_2 = -dh1_2
+    _, dh0_1, ddh0_1 = _h0_derivatives(k1 * r)
+    _, dh0_2, ddh0_2 = _h0_derivatives(k2 * r)
 
     g = k1 * dh0_1 / r
     k = k2 * dh0_2 / r
@@ -109,13 +113,13 @@ def exact_boundary_operator_example1(config: ProblemConfig):
     B u = M_0 u can be checked against the mode matrix.
     """
     k1, k2, R = config.kappa1, config.kappa2, config.R
-    h0_1, _, dh0_1, dh1_1 = hankel01(np.array([k1 * R]))
-    h0_2, _, dh0_2, dh1_2 = hankel01(np.array([k2 * R]))
+    h0_1, dh0_1, ddh0_1 = _h0_derivatives(np.array([k1 * R]))
+    _, dh0_2, ddh0_2 = _h0_derivatives(np.array([k2 * R]))
     bu = np.array(
         [
-            config.mu * k1**2 * (-dh1_1[0])
+            config.mu * k1**2 * ddh0_1[0]
             - (config.lam + config.mu) * k1**2 * h0_1[0],
-            -config.mu * k2**2 * (-dh1_2[0]),
+            -config.mu * k2**2 * ddh0_2[0],
         ]
     )
     u = np.array([k1 * dh0_1[0], -k2 * dh0_2[0]])

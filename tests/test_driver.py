@@ -1,6 +1,9 @@
 """Adaptive loop mechanics, run artifacts, determinism, and the CLI."""
 
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import types
 
@@ -25,6 +28,7 @@ from elastodtn.errors import InvalidParameter, InvalidRadii, IterationCapReached
 from elastodtn.mesh import Mesh, generate_annulus, refine_all, save_mesh, save_triangle_scalars
 
 LOOSEST = sys.float_info.max  # a tolerance every estimate meets
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestAdaptiveLoop:
@@ -249,6 +253,7 @@ class TestConfigFile:
             "theta = 0.4   # marking fraction\n"
             "N = 12\n"
             "example = 1\n"
+            "mesh = runs/disk/mesh_final.txt\n"
             "\n"
         )
         got = load_config_file(p)
@@ -258,6 +263,7 @@ class TestConfigFile:
             "theta": 0.4,
             "N": 12,
             "example": 1,
+            "mesh": "runs/disk/mesh_final.txt",
         }
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -370,6 +376,30 @@ class TestCli:
         lines = (out / "history.csv").read_text().splitlines()
         assert len(lines) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("omgea = 5", "unknown key 'omgea'"),
+            ("max_dof = 100", "unknown key 'max_dof'"),
+            ("rounds = 2", "unknown key 'rounds'"),
+            ("out = elsewhere", "unknown key 'out'"),
+            ("example = 3", "example must be 1 or 2, got 3"),
+            ("example = 0", "example must be 1 or 2, got 0"),
+            ("N = twelve", "N = 'twelve' is not int"),
+        ],
+    )
+    def test_config_file_is_checked(self, tmp_path, capsys, line, message):
+        """Keys the run would not read, examples the --example flag refuses
+        and values of the wrong type stop the run with the file position
+        instead of running another problem or raising a bare traceback."""
+        p = tmp_path / "run.cfg"
+        p.write_text(f"tol = 99.0\n{line}\n")
+        out = tmp_path / "o"
+        code = cli(["solve", "--config", str(p), "--max-dof", "400", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: InvalidParameter: {p}:2: {message}\n"
+        assert not out.exists()
+
     def test_uniform_rounds_flag(self, tmp_path):
         out = tmp_path / "u"
         code = cli(
@@ -407,6 +437,20 @@ class TestExample2Setup:
         assert m.min_angle() >= 18.0
         assert m.obstacle_radius is None  # polygonal obstacle
         assert m.outer_radius == pytest.approx(3.0)
+
+    def test_fixture_is_what_the_generator_writes(self, tmp_path):
+        """The shipped U-shape mesh is reproduced byte for byte by its
+        generator, tools/make_ushape_mesh.py."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        path = tmp_path / "ushape_mesh.txt"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "make_ushape_mesh.py"), str(path)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        shipped = ROOT / "src" / "elastodtn" / "data" / "ushape_mesh.txt"
+        assert path.read_bytes() == shipped.read_bytes()
 
     def test_auto_truncation_selection(self):
         cfg = example2_config()

@@ -1,5 +1,6 @@
 """Error indicator pieces against hand computations and quadrature oracles."""
 
+import copy
 import functools
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from elastodtn import (
     build_spectrum,
     example1_config,
+    example2_mesh,
     generate_annulus,
     global_estimate,
 )
@@ -142,6 +144,24 @@ class TestInteriorJump:
         ) * nu
         want = np.linalg.norm(np.abs(flux)) * math.sqrt(np.linalg.norm(tang))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_independent_of_edge_orientation(self, rng):
+        """Swapping the two triangles of every interior edge flips the
+        sign of J_e and nothing else, so the returned |J_e| sqrt(h_e) is
+        bit-identical: no normal needs orienting."""
+        cfg = example1_config(N=0)
+        mesh = example2_mesh()
+        vals = rng.normal(size=(len(mesh.vertices), 2)) + 1j * rng.normal(
+            size=(len(mesh.vertices), 2)
+        )
+        swapped = copy.copy(mesh)
+        swapped.edge_tris = mesh.edge_tris.copy()
+        inner = swapped.edge_tris[:, 1] >= 0
+        swapped.edge_tris[inner] = swapped.edge_tris[inner, ::-1]
+        a = interior_jumps(make_field(mesh, cfg, vals))
+        b = interior_jumps(make_field(swapped, cfg, vals))
+        assert inner.sum() > 0 and np.max(a) > 0.0
+        assert a.tobytes() == b.tobytes()
 
 
 class TestBoundaryJump:
