@@ -7,7 +7,6 @@ from .assembly import (
     ProblemConfig,
     SolutionField,
     assemble,
-    energy_norm,
     h1_norm,
     incident_field,
     incident_h1,
@@ -43,7 +42,6 @@ __all__ = [
     "ProblemConfig",
     "SolutionField",
     "assemble",
-    "energy_norm",
     "h1_norm",
     "incident_field",
     "incident_h1",

@@ -88,7 +88,6 @@ from .dtn import DtnSpectrum, outer_mode_basis
 from .errors import (
     InvalidParameter,
     InvalidRadii,
-    MeshMismatch,
     OriginEvaluation,
     SingularSystem,
     ThetaOutOfRange,
@@ -426,37 +425,10 @@ def solve(system: LinearSystem) -> SolutionField:
 # -- norms -----------------------------------------------------------------
 
 
-def _norm_pieces(field: SolutionField):
-    areas = field.mesh.areas
-    G = field.jacobians
-    l2_sq = field.element_l2_sq()
-    grad_sq = areas * np.sum(np.abs(G) ** 2, axis=(1, 2))
-    div_sq = areas * np.abs(G[:, 0, 0] + G[:, 1, 1]) ** 2
-    return l2_sq, grad_sq, div_sq
-
-
 def h1_norm(field: SolutionField) -> float:
     """(||u||_L2^2 + ||grad u||_L2^2)^{1/2}, exact for P1 fields."""
-    l2_sq, grad_sq, _ = _norm_pieces(field)
-    return math.sqrt(float(np.sum(l2_sq) + np.sum(grad_sq)))
-
-
-def energy_norm(field: SolutionField) -> float:
-    """(mu ||grad u||^2 + (lam+mu) ||div u||^2 + omega^2 ||u||^2)^{1/2}."""
-    c = field.config
-    l2_sq, grad_sq, div_sq = _norm_pieces(field)
-    val = (
-        c.mu * np.sum(grad_sq)
-        + (c.lam + c.mu) * np.sum(div_sq)
-        + c.omega**2 * np.sum(l2_sq)
-    )
-    return math.sqrt(float(val))
-
-
-def difference(a: SolutionField, b: SolutionField) -> SolutionField:
-    if a.mesh.generation != b.mesh.generation or len(a.values) != len(b.values):
-        raise MeshMismatch("fields live on different mesh generations")
-    return SolutionField(a.mesh, a.config, a.values - b.values, a.dirichlet_mask)
+    grad_sq = field.mesh.areas * np.sum(np.abs(field.jacobians) ** 2, axis=(1, 2))
+    return math.sqrt(float(np.sum(field.element_l2_sq()) + np.sum(grad_sq)))
 
 
 # -- independent residual evaluation --------------------------------------

@@ -111,7 +111,7 @@ def _solve_once(config, mesh_, spectrum):
 def _record(it, field, report, t0) -> RunRecord:
     e_h = None
     if field.config.incident.kind == "hankel0":
-        e_h, _ = verify.errors_vs_exact(field)
+        e_h = verify.errors_vs_exact(field)
     return RunRecord(
         iteration=it,
         dof=report.dof,

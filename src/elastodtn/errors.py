@@ -71,10 +71,6 @@ class SingularSystem(ElastoDtnError):
     """Factorization failed or the residual check did not pass."""
 
 
-class MeshMismatch(ElastoDtnError):
-    """Fields live on different mesh generations."""
-
-
 # --- driver / verification ---
 
 class IterationCapReached(ElastoDtnError):

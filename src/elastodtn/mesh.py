@@ -421,12 +421,12 @@ def save_triangle_scalars(path, values):
         fh.write(format_rows("%d %.17g\n", np.arange(len(values)), values))
 
 
-def load_mesh(path, fix_orientation: bool = False) -> Mesh:
+def load_mesh(path) -> Mesh:
     """Read the text format and rebuild all derived structure.
 
     Raises ParseError with a line number on malformed input,
-    OrientationError on a clockwise triangle (unless fix_orientation),
-    NonConforming on duplicated triangles or broken adjacency.
+    OrientationError on a clockwise triangle, and NonConforming on
+    duplicated triangles or broken adjacency.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -467,13 +467,6 @@ def load_mesh(path, fix_orientation: bool = False) -> Mesh:
             raise ParseError(f"{path}:{2 + nv + i}: malformed triangle line") from None
         if tris[i].min() < 0 or tris[i].max() >= nv:
             raise ParseError(f"{path}:{2 + nv + i}: vertex index out of range")
-
-    if fix_orientation:
-        p = vertices[tris]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        flipped = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) < 0
-        tris[flipped] = tris[flipped][:, [0, 2, 1]]
 
     outer_r = _common_radius(vertices, tags, OUTER)
     if outer_r is None:

@@ -25,7 +25,7 @@ from elastodtn import driver, verify
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
 from elastodtn.dtn import spectrum_table
 from elastodtn.errors import InvalidParameter, InvalidRadii, IterationCapReached
-from elastodtn.mesh import Mesh, generate_annulus, refine_all, save_mesh, save_triangle_scalars
+from elastodtn.mesh import OBSTACLE, Mesh, generate_annulus, refine_all, save_mesh, save_triangle_scalars
 
 LOOSEST = sys.float_info.max  # a tolerance every estimate meets
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -366,6 +366,19 @@ class TestCli:
         assert "vertices 320" in out
         assert "euler_characteristic 0" in out
 
+    def test_package_runs_as_a_module(self, tmp_path):
+        """``python -m elastodtn`` starts the CLI, and starting it that way
+        raises no RuntimeWarning about the package's own imports."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elastodtn", "mesh-info"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "vertices 320" in done.stdout
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"
         p.write_text("example = 1\nN = 3\ntol = 99.0\n")
@@ -440,13 +453,13 @@ class TestExample2Setup:
 
     def test_fixture_is_what_the_generator_writes(self, tmp_path):
         """The shipped U-shape mesh is reproduced byte for byte by its
-        generator, tools/make_ushape_mesh.py."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        generator, tools/make_ushape_mesh.py, run from another directory
+        with no PYTHONPATH: the script finds the package itself."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         path = tmp_path / "ushape_mesh.txt"
         done = subprocess.run(
             [sys.executable, str(ROOT / "tools" / "make_ushape_mesh.py"), str(path)],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         shipped = ROOT / "src" / "elastodtn" / "data" / "ushape_mesh.txt"
@@ -512,3 +525,29 @@ class TestTracedEntryPoints:
         example2_config()
         example2_mesh()
         assert [key for key, n in calls.items() if n == 0] == []
+
+
+class TestBenchmarkInterface:
+    """perfbench/workloads.py checks each round through these names,
+    outside the tracer, building them as below.  A change that removes
+    or reshapes one must fail here before it breaks the benchmark."""
+
+    def test_round_checks_rebuild_what_they_read(self):
+        cfg = example1_config(tolerance=LOOSEST)
+        hist = adaptive_solve(cfg, example1_mesh(16, 1))
+        rec, field, spectrum = hist.records[-1], hist.field, hist.spectrum
+        m = field.mesh
+        assert (rec.dof, rec.n_triangles) == (len(m.vertices), len(m.triangles))
+        assert all(isinstance(v, float) for v in (rec.e_h, rec.eps_h, rec.eps_N))
+
+        s = [spectrum.scalars[int(n)] for n in spectrum.mode_numbers()]
+        assert len(s) == 2 * spectrum.truncation_n + 1
+        assert np.all(np.isfinite([[x.alpha1, x.alpha2, x.lambda_n] for x in s]))
+
+        # the Galerkin check rebuilds the mesh and the field from arrays
+        rebuilt = Mesh(m.vertices, m.triangles, m.vertex_tags, 0,
+                       outer_radius=cfg.R, obstacle_radius=cfg.R_hat)
+        again = assembly.SolutionField(rebuilt, cfg, field.values, field.dirichlet_mask)
+        r = np.abs(assembly.residual_vector(again, spectrum)).reshape(-1, 2)
+        obstacle = m.vertex_tags == OBSTACLE
+        assert np.max(r[~obstacle]) <= 1e-8 * np.max(r[obstacle])

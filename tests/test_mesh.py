@@ -213,8 +213,6 @@ class TestTextFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(OrientationError):
             load_mesh(path)
-        fixed = load_mesh(path, fix_orientation=True)
-        assert np.all(fixed.areas > 0)
 
     @pytest.mark.parametrize(
         "mutation, message_part",

@@ -10,7 +10,6 @@ from elastodtn import IncidentWave, build_spectrum, example1_config, incident_fi
 from elastodtn.errors import InsufficientData, OriginEvaluation
 from elastodtn.verify import (
     ConvergenceFit,
-    errors_vs_exact,
     exact_boundary_operator_example1,
     exact_solution_example1,
     fit_rate,
@@ -176,9 +175,3 @@ class TestRunCorrelation:
         eps = np.array([r.eps_h for r in run_example1_adaptive.records])
         r = np.corrcoef(e, eps)[0, 1]
         assert r >= 0.9
-
-    def test_quadrature_error_close_to_interpolant_error(self, run_example1_adaptive):
-        h1_err, energy_err = errors_vs_exact(run_example1_adaptive.field)
-        assert energy_err >= h1_err * math.sqrt(
-            min(run_example1_adaptive.config.mu, run_example1_adaptive.config.omega**2)
-        ) * (1 - 1e-12)

@@ -7,14 +7,19 @@ the circle, smooth interior points, and validate against the library's
 mesh invariants before writing the fixture.
 
 Usage: python tools/make_ushape_mesh.py [out_path]
+
+Runs from any working directory; out_path defaults to the shipped
+fixture, src/elastodtn/data/ushape_mesh.txt.
 """
 
+import pathlib
 import sys
 
 import numpy as np
 from scipy.spatial import Delaunay
 
-sys.path.insert(0, "src")
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 from elastodtn.mesh import INTERIOR, OBSTACLE, OUTER, Mesh, save_mesh  # noqa: E402
 
 R = 3.0
@@ -160,7 +165,7 @@ def quality(pts, tri):
     return np.min(np.stack(angles))
 
 
-def main(out_path="src/elastodtn/data/ushape_mesh.txt"):
+def main(out_path=SRC / "elastodtn" / "data" / "ushape_mesh.txt"):
     upts, seg_of, cpts = boundary_points()
     fixed = np.concatenate([upts, cpts])
     movable = interior_seed_points(upts, cpts)
