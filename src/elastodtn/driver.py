@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from . import assembly, estimator, mesh as meshmod, verify
 from .assembly import IncidentWave, ProblemConfig
 from .dtn import DtnSpectrum, build_spectrum, select_truncation, spectrum_table
-from .errors import ElastoDtnError, InvalidParameter, IterationCapReached
+from .errors import ElastoDtnError, InvalidParameter
 from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
 
 
@@ -44,6 +44,7 @@ class RunHistory:
     field: assembly.SolutionField
     u_inc_h1: float
     report: estimator.EstimateReport  # indicators of the final field
+    stop_reason: str  # "tolerance", "max_dof", "max_iters" or "rounds"
 
     @property
     def final(self) -> RunRecord:
@@ -61,8 +62,6 @@ def example1_config(**overrides) -> ProblemConfig:
         R_hat=0.5,
         N=35,
         incident=IncidentWave(kind="hankel0"),
-        theta_mark=0.5,
-        tolerance=1e-2,
     )
     base.update(overrides)
     return ProblemConfig(**base)
@@ -86,8 +85,6 @@ def example2_config(**overrides) -> ProblemConfig:
         R_hat=2.31,
         N=None,
         incident=IncidentWave(kind="plane", direction=(1.0, 0.0)),
-        theta_mark=0.5,
-        tolerance=1e-2,
     )
     base.update(overrides)
     if base["N"] is None:
@@ -100,12 +97,6 @@ def example2_config(**overrides) -> ProblemConfig:
 def example2_mesh() -> Mesh:
     path = importlib.resources.files("elastodtn") / "data" / "ushape_mesh.txt"
     return load_mesh(str(path))
-
-
-def _solve_once(config, mesh_, spectrum):
-    system = assembly.assemble(mesh_, config, spectrum)
-    field = assembly.solve(system)
-    return field
 
 
 def _record(it, field, report, t0) -> RunRecord:
@@ -123,16 +114,9 @@ def _record(it, field, report, t0) -> RunRecord:
     )
 
 
-def adaptive_solve(
-    config: ProblemConfig, initial_mesh: Mesh, max_dof: int | None = None
-) -> RunHistory:
-    """Solve/estimate/mark/refine until eps_h <= tolerance.
-
-    Raises IterationCapReached (with the partial history attached) if
-    config.max_iters solves did not reach the tolerance; an optional
-    max_dof turns the DoF budget into a regular stopping rule.  Raises
-    InvalidRadii if the mesh does not fit config.R and config.R_hat.
-    """
+def _refinement_loop(config, initial_mesh, stop, next_mesh) -> RunHistory:
+    """Solve and estimate on the current mesh until stop(report, solves)
+    names a stop reason, moving to next_mesh(mesh, report) in between."""
     meshmod.check_radii(initial_mesh, config.R_hat, config.R)
     t0 = time.perf_counter()
     spectrum = build_spectrum(config)
@@ -140,43 +124,54 @@ def adaptive_solve(
     current = initial_mesh
     records: list[RunRecord] = []
     while True:
-        field = _solve_once(config, current, spectrum)
+        field = assembly.solve(assembly.assemble(current, config, spectrum))
         report = estimator.global_estimate(field, spectrum, u_inc_h1=u_inc_h1)
         records.append(_record(len(records), field, report, t0))
-        if report.eps_h <= config.tolerance:
-            break
-        if max_dof is not None and report.dof >= max_dof:
-            break
-        if len(records) >= config.max_iters:
-            raise IterationCapReached(
-                f"eps_h = {report.eps_h:.4g} > tolerance after "
-                f"{config.max_iters} iterations",
-                history=RunHistory(records, config, spectrum, current, field, u_inc_h1, report),
-            )
-        marked = mark(report.eta, config.theta_mark)
-        current = refine(current, marked)
+        reason = stop(report, len(records))
+        if reason is not None:
+            return RunHistory(records, config, spectrum, current, field, u_inc_h1, report, reason)
+        current = next_mesh(current, report)
         # release the old field, and with it the old mesh's cached
         # geometry, before the next system is factored
         field = report = None
-    return RunHistory(records, config, spectrum, current, field, u_inc_h1, report)
+
+
+def adaptive_solve(
+    config: ProblemConfig, initial_mesh: Mesh, max_dof: int | None = None
+) -> RunHistory:
+    """Solve/estimate/mark/refine until eps_h <= tolerance.
+
+    The history's stop_reason says why the loop ended: "tolerance", or
+    "max_dof" once an optional DoF budget is reached, or "max_iters"
+    after config.max_iters solves.  Raises InvalidRadii if the mesh does
+    not fit config.R and config.R_hat.
+    """
+
+    def stop(report, solves):
+        if report.eps_h <= config.tolerance:
+            return "tolerance"
+        if max_dof is not None and report.dof >= max_dof:
+            return "max_dof"
+        if solves >= config.max_iters:
+            return "max_iters"
+        return None
+
+    return _refinement_loop(
+        config, initial_mesh, stop,
+        lambda mesh_, report: refine(mesh_, mark(report.eta, config.theta_mark)),
+    )
 
 
 def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> RunHistory:
-    """Same pipeline with full refinement (every edge split) each round."""
-    meshmod.check_radii(initial_mesh, config.R_hat, config.R)
-    t0 = time.perf_counter()
-    spectrum = build_spectrum(config)
-    u_inc_h1 = assembly.incident_h1(config, initial_mesh)
-    current = initial_mesh
-    records: list[RunRecord] = []
-    for it in range(rounds + 1):
-        field = _solve_once(config, current, spectrum)
-        report = estimator.global_estimate(field, spectrum, u_inc_h1=u_inc_h1)
-        records.append(_record(it, field, report, t0))
-        if it < rounds:
-            current = refine_all(current)
-            field = report = None  # as in adaptive_solve
-    return RunHistory(records, config, spectrum, current, field, u_inc_h1, report)
+    """Same loop with full refinement (every edge split) for the given
+    number of rounds, rounds + 1 solves; stop_reason is "rounds"."""
+    if rounds < 0:
+        raise InvalidParameter(f"need rounds >= 0, got {rounds}")
+    return _refinement_loop(
+        config, initial_mesh,
+        lambda report, solves: "rounds" if solves > rounds else None,
+        lambda mesh_, report: refine_all(mesh_),
+    )
 
 
 # -- run artifacts ----------------------------------------------------------
@@ -210,22 +205,19 @@ def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
 
 # -- configuration plumbing -------------------------------------------------
 
-_KEY_TYPES = {  # config-file key -> value type
-    **dict.fromkeys(("omega", "lambda", "mu", "R", "R_hat", "theta", "tol"), float),
-    **dict.fromkeys(("N", "max_iters", "example"), int),
-    "mesh": str,
-}
-# CLI flag (argparse dest, also the config-file key) -> ProblemConfig field
-_CONFIG_FIELDS = {
-    "omega": "omega",
-    "lambda": "lam",
-    "mu": "mu",
-    "R": "R",
-    "R_hat": "R_hat",
-    "N": "N",
-    "theta": "theta_mark",
-    "tol": "tolerance",
-    "max_iters": "max_iters",
+# problem key (config-file key and CLI dest) -> (value type, ProblemConfig field)
+_PROBLEM_KEYS = {
+    "example": (int, None),
+    "omega": (float, "omega"),
+    "lambda": (float, "lam"),
+    "mu": (float, "mu"),
+    "R": (float, "R"),
+    "R_hat": (float, "R_hat"),
+    "N": (int, "N"),
+    "theta": (float, "theta_mark"),
+    "tol": (float, "tolerance"),
+    "max_iters": (int, "max_iters"),
+    "mesh": (str, None),
 }
 
 
@@ -245,9 +237,9 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ElastoDtnError(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            kind = _KEY_TYPES.get(key)
-            if kind is None:
+            if key not in _PROBLEM_KEYS:
                 raise InvalidParameter(f"{where}: unknown key {key!r}")
+            kind = _PROBLEM_KEYS[key][0]
             try:
                 out[key] = kind(value)
             except ValueError:
@@ -258,21 +250,18 @@ def load_config_file(path) -> dict:
 
 
 def _build_config(ns) -> tuple[ProblemConfig, Mesh]:
-    settings = {}
-    if ns.config:
-        settings.update(load_config_file(ns.config))
-    for key in (*_CONFIG_FIELDS, "example", "mesh"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            settings[key] = val
+    settings = load_config_file(ns.config) if ns.config else {}
+    for key in _PROBLEM_KEYS:
+        if getattr(ns, key) is not None:
+            settings[key] = getattr(ns, key)
 
-    example = int(settings.get("example", 1))
+    example = settings.get("example", 1)
     maker = example1_config if example == 1 else example2_config
-    overrides = {
-        field: settings[key] for key, field in _CONFIG_FIELDS.items() if key in settings
-    }
-    cfg = maker(**overrides)
-    if "mesh" in settings and settings["mesh"]:
+    cfg = maker(**{
+        field: settings[key] for key, (_, field) in _PROBLEM_KEYS.items()
+        if field is not None and key in settings
+    })
+    if settings.get("mesh"):
         msh = load_mesh(settings["mesh"])
     elif example == 1:
         msh = example1_mesh()
@@ -283,17 +272,12 @@ def _build_config(ns) -> tuple[ProblemConfig, Mesh]:
 
 def _add_common_flags(p):
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--example", type=int, choices=(1, 2))
-    p.add_argument("--omega", type=float)
-    p.add_argument("--lambda", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--R", type=float)
-    p.add_argument("--R-hat", dest="R_hat", type=float)
-    p.add_argument("--N", type=int)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--mesh", help="mesh file overriding the built-in geometry")
+    extra = {
+        "example": dict(choices=(1, 2)),
+        "mesh": dict(help="mesh file overriding the built-in geometry"),
+    }
+    for key, (kind, _) in _PROBLEM_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, **extra.get(key, {}))
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -341,13 +325,16 @@ def _dispatch(ns) -> int:
         if ns.uniform_rounds is not None:
             history = uniform_solve(cfg, msh, ns.uniform_rounds)
         else:
-            try:
-                history = adaptive_solve(cfg, msh, max_dof=ns.max_dof)
-            except IterationCapReached as exc:
-                print(f"warning: {exc}", file=sys.stderr)
-                history = exc.history
+            history = adaptive_solve(cfg, msh, max_dof=ns.max_dof)
         _write_run_outputs(history, ns.out, dump_spectrum=ns.dump_spectrum)
         last = history.final
+        if history.stop_reason == "max_iters":
+            print(f"warning: eps_h = {last.eps_h:.4g} > tolerance after "
+                  f"{len(history.records)} iterations", file=sys.stderr)
+        elif last.eps_N > cfg.tolerance:  # refinement cannot meet the tolerance
+            print(f"warning: eps_N = {last.eps_N:.3g} > tolerance = {cfg.tolerance:.3g}; "
+                  "the DtN truncation error depends on N and R_hat/R, not on the mesh",
+                  file=sys.stderr)
         print(
             f"iterations={len(history.records)} dof={last.dof} "
             f"eps_h={last.eps_h:.6g} eps_N={last.eps_N:.3g}"
@@ -357,13 +344,8 @@ def _dispatch(ns) -> int:
 
     if ns.command == "convergence":
         cfg, msh = _build_config(ns)
-        try:
-            adaptive = adaptive_solve(
-                replace(cfg, tolerance=1e-12), msh, max_dof=ns.max_dof
-            )
-        except IterationCapReached as exc:
-            adaptive = exc.history
         uniform = uniform_solve(cfg, msh, ns.rounds)
+        adaptive = adaptive_solve(replace(cfg, tolerance=1e-12), msh, max_dof=ns.max_dof)
         print(_convergence_table(adaptive, uniform))
         return 0
 

@@ -73,16 +73,5 @@ class SingularSystem(ElastoDtnError):
 
 # --- driver / verification ---
 
-class IterationCapReached(ElastoDtnError):
-    """Adaptive loop hit the iteration cap before reaching tolerance.
-
-    The partial run history is attached as ``.history``.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history
-
-
 class InsufficientData(ElastoDtnError):
     """Not enough points for a least-squares rate fit."""

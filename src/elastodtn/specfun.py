@@ -3,8 +3,8 @@ r"""Stable evaluation of Bessel and Hankel functions of integer order.
 Everything the solver needs reduces to :math:`J_n(z)` and :math:`Y_n(z)` for
 real :math:`z > 0` and orders up to about a thousand.
 
-:math:`J_0, J_1, Y_0, Y_1` come from one kernel, ``jy01``, whose work per
-point is sized to the arguments of each chunk of points:
+:math:`J_0, J_1, Y_0, Y_1` come from one kernel behind ``hankel01``, whose
+work per point is sized to the arguments of each chunk of points:
 
 * :math:`z \ge 25`: Hankel's asymptotic expansion (DLMF 10.17.3),
   :math:`H_\nu^{(1)}(z) = \sqrt{2/(\pi z)}\, e^{i(z - \nu\pi/2 - \pi/4)}
@@ -33,7 +33,7 @@ every call (results never depend on earlier calls):
 
 * :math:`J_n` by Miller's downward recurrence, started above both n_max
   and the turning point (``_miller_start``);
-* :math:`Y_n` by the (upward-stable) forward recurrence from the ``jy01``
+* :math:`Y_n` by the (upward-stable) forward recurrence from the ``hankel01``
   seeds :math:`Y_0, Y_1`, carried as a mantissa/log-scale pair so that
   orders far beyond the overflow point of a plain double remain usable in
   ratios.
@@ -62,7 +62,7 @@ _MAX_ORDER = 1024
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _LOG_MAX = math.log(np.finfo(np.float64).max)
-# jy01: Hankel's expansion from _ASYMPTOTIC_SWITCH on, with at most
+# _jy01_into: Hankel's expansion from _ASYMPTOTIC_SWITCH on, with at most
 # _ASYMPTOTIC_TERMS terms and a first omitted term below _ASYMPTOTIC_TOL;
 # Miller's recurrence below it, started where (z/2)^m / m! < _MILLER_TOL,
 # _MILLER_MARGIN orders higher; points go through in chunks of _CHUNK
@@ -126,7 +126,7 @@ def _ladder(n_max: int, z: float):
             f"order {n_max} exceeds the supported maximum {_MAX_ORDER}"
         )
     J = _miller_j(n_max, z)
-    _, _, y0, y1 = (float(v[0]) for v in jy01(np.array([z])))
+    y0, y1 = (float(h[0].imag) for h in hankel01(np.array([z])))
     mant = np.zeros(n_max + 1)
     slog = np.zeros(n_max + 1)
     mant[0] = y0
@@ -399,30 +399,13 @@ def _arguments(z) -> np.ndarray:
     return z
 
 
-def jy01(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (J_0, J_1, Y_0, Y_1) over an array of positive arguments.
-
-    Points go through in chunks of 2^16, so memory stays O(chunk).  In a
-    chunk, arguments z >= 25 use Hankel's asymptotic expansion with as
-    many terms as its smallest such z needs (22 at z = 25, 8 at 250);
-    smaller ones use Miller's recurrence, started where (z/2)^m / m! at
-    their largest z falls below 1e-17, plus 4 orders (27 steps at z = pi,
-    66 below 25), with the Neumann series for Y_0 and Y_1 summed on the
-    way down.  Against ``scipy.special.hankel1`` the relative error of H_0
-    and H_1 is at most 3.1e-15 over z in [1e-10, 2e3].  The order ladder
-    seeds its Y recurrence from the same kernel.
-    """
-    z = _arguments(z)
-    out = np.empty((4, z.size))
-    _jy01_into(z.ravel(), out)
-    return tuple(o.reshape(z.shape) for o in out)
-
-
 def hankel01(z):
     """Vectorized (H_0, H_1) of the first kind, shaped like z.
 
     The workhorse for field evaluation on point clouds.  Callers that
     need derivatives form them from H_0' = -H_1 and H_1' = H_0 - H_1/z.
+    Points go through in chunks of 2^16, so memory stays O(chunk).  The
+    order ladder takes its Y_0, Y_1 seeds from the imaginary parts.
     """
     z = _arguments(z)
     flat = z.ravel()

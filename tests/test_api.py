@@ -31,7 +31,7 @@ BAD_INPUTS = {
     "specfun.bessel_jy": lambda: specfun.bessel_jy(-1, 1.0),
     "specfun.bessel_jy inf": lambda: specfun.bessel_jy(3, math.inf),
     "specfun.bessel_jy nan": lambda: specfun.bessel_jy(3, math.nan),
-    "specfun.jy01 inf": lambda: specfun.jy01([1.0, math.inf]),
+    "specfun.hankel01 inf": lambda: specfun.hankel01([1.0, math.inf]),
     "specfun.hankel01 nan": lambda: specfun.hankel01(np.array([math.nan, 2.0])),
     "specfun.mode_scalar_arrays": lambda: specfun.mode_scalar_arrays(
         [3], math.pi, math.pi / 2, 1.0),

@@ -24,7 +24,7 @@ from elastodtn import (
 from elastodtn import driver, verify
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
 from elastodtn.dtn import spectrum_table
-from elastodtn.errors import InvalidParameter, InvalidRadii, IterationCapReached
+from elastodtn.errors import InvalidParameter, InvalidRadii
 from elastodtn.mesh import OBSTACLE, Mesh, generate_annulus, refine_all, save_mesh, save_triangle_scalars
 
 LOOSEST = sys.float_info.max  # a tolerance every estimate meets
@@ -41,6 +41,7 @@ class TestAdaptiveLoop:
         hist = adaptive_solve(cfg, example1_mesh(16, 1))
         assert len(hist.records) == 1
         assert hist.records[0].iteration == 0
+        assert hist.stop_reason == "tolerance"
 
     def test_loose_tolerance_terminates_quickly(self):
         # tolerance sits above the second-iteration eps_h, so the loop
@@ -54,10 +55,8 @@ class TestAdaptiveLoop:
 
     def test_iteration_cap_carries_partial_history(self):
         cfg = example1_config(tolerance=1e-9, max_iters=2)
-        with pytest.raises(IterationCapReached) as err:
-            adaptive_solve(cfg, example1_mesh(16, 1))
-        hist = err.value.history
-        assert hist is not None
+        hist = adaptive_solve(cfg, example1_mesh(16, 1))
+        assert hist.stop_reason == "max_iters"
         assert len(hist.records) == 2
 
     def test_dof_strictly_increasing_and_eps_n_constant(self, run_example1_adaptive):
@@ -98,6 +97,7 @@ class TestAdaptiveLoop:
         hist = adaptive_solve(cfg, example1_mesh(16, 1), max_dof=400)
         assert hist.records[-1].dof >= 400
         assert hist.records[-2].dof < 400
+        assert hist.stop_reason == "max_dof"
 
 
 class TestRunArtifacts:
@@ -131,9 +131,8 @@ class TestRunArtifacts:
 
     def test_capped_history_carries_final_report(self, tmp_path, estimate_calls):
         cfg = example1_config(tolerance=1e-9, max_iters=2)
-        with pytest.raises(IterationCapReached) as err:
-            adaptive_solve(cfg, example1_mesh(16, 1))
-        hist = err.value.history
+        hist = adaptive_solve(cfg, example1_mesh(16, 1))
+        assert hist.stop_reason == "max_iters"
         assert len(estimate_calls) == 2
         assert len(hist.report.eta) == len(hist.mesh.triangles)
         _write_run_outputs(hist, tmp_path / "run", dump_spectrum=True)
@@ -229,6 +228,7 @@ class TestUniformLoop:
         hist = uniform_solve(cfg, example1_mesh(8, 1), rounds=2)
         assert hist.records[-1].n_triangles == 256
         assert [r.n_triangles for r in hist.records] == [16, 64, 256]
+        assert hist.stop_reason == "rounds"
 
 
 class TestDeterminism:
@@ -346,6 +346,42 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {line}\n"
         assert solves == []
         assert not (tmp_path / "history.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--uniform-rounds", "-1"], ["convergence", "--rounds", "-1"]],
+        ids=["solve", "convergence"],
+    )
+    def test_negative_rounds_fail_before_solving(self, tmp_path, capsys, monkeypatch, argv):
+        solves = []
+        monkeypatch.setattr(assembly, "solve", lambda system: solves.append(system))
+        code = cli(argv + ["--example", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: InvalidParameter: need rounds >= 0, got -1\n"
+        assert solves == []
+        assert not (tmp_path / "history.csv").exists()
+
+    def test_iteration_cap_is_a_warning(self, tmp_path, capsys):
+        code = cli(["solve", "--example", "1", "--tol", "1e-9", "--max-iters", "2",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == "warning: eps_h = 7.511 > tolerance after 2 iterations\n"
+        assert len((tmp_path / "history.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "flags, warning",
+        [
+            (["--R-hat", "0.999"], "warning: eps_N = 3.75e+03 > tolerance = 0.01; "
+             "the DtN truncation error depends on N and R_hat/R, not on the mesh\n"),
+            (["--tol", "0.5"], ""),
+        ],
+        ids=["R_hat 0.999", "tol 0.5"],
+    )
+    def test_truncation_error_above_tolerance_is_a_warning(self, tmp_path, capsys, flags, warning):
+        """Refinement cannot bring the estimate below a tolerance that
+        eps_N alone exceeds; the run says so instead of ending silently."""
+        code = cli(["solve", "--example", "1", *flags, "--max-dof", "400", "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == warning
 
     def test_spectrum_dump_rows(self, capsys):
         code = cli(["spectrum-dump", "--N", "5"])

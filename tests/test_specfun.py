@@ -17,7 +17,7 @@ from elastodtn import example1_config, specfun
 from elastodtn.dtn import build_spectrum
 from elastodtn.errors import (InvalidParameter, NonPositiveArgument, OrderCapExceeded,
                               OverflowRegime)
-from elastodtn.specfun import bessel_jy, hankel_ratio_gap, hankel01, jy01, mode_scalar_arrays
+from elastodtn.specfun import bessel_jy, hankel_ratio_gap, hankel01, mode_scalar_arrays
 
 K1 = math.pi / 2
 K2 = math.pi
@@ -95,7 +95,8 @@ class TestBesselJy:
 
     def test_vectorized_matches_scalar(self, rng):
         z = rng.uniform(0.5, 19.0, size=40)
-        j0, j1, y0, y1 = jy01(z)
+        h0, h1 = hankel01(z)
+        j0, j1, y0, y1 = h0.real, h1.real, h0.imag, h1.imag
         for i in range(len(z)):
             J, Y = bessel_jy(1, float(z[i]))
             assert j0[i] == pytest.approx(J[0], rel=1e-13, abs=1e-15)
@@ -243,7 +244,7 @@ class TestJy01Oracles:
 
     def test_shape_is_kept(self):
         z = np.linspace(1.0, 60.0, 12).reshape(3, 4)
-        assert all(a.shape == (3, 4) for a in jy01(z))
+        assert all(a.shape == (3, 4) for a in hankel01(z))
 
     @pytest.mark.parametrize("z", [1e-3, 0.7, 24.999999999, 25.0, 137.5, 1000.0, 2000.0])
     def test_mpmath_spot_values(self, z):
@@ -256,7 +257,8 @@ class TestJy01Oracles:
 
     @pytest.mark.parametrize("z", [3.0, 24.0, 30.0, 289.4, 1000.0])
     def test_scalar_ladder_shares_the_y_seeds(self, z):
-        _, _, y0, y1 = jy01(np.array([z]))
+        h0, h1 = hankel01(np.array([z]))
+        y0, y1 = h0.imag, h1.imag
         _, Y = bessel_jy(1, z)
         assert Y[0] == y0[0]
         assert Y[1] == y1[0]
@@ -265,7 +267,7 @@ class TestJy01Oracles:
         z = np.full(20_000, 1000.0)
         tracemalloc.start()
         try:
-            jy01(z)
+            hankel01(z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
