@@ -30,6 +30,7 @@ print(f"\neps_h ~ DoF^s with s = {fit.slope:.3f} (optimal -0.5)")
 
 # --- where did the estimator put the effort? --------------------------------
 report = history.report
+final = history.field.mesh
 corners = np.array(
     [(-2.0, -0.7), (2.2, -0.7), (2.2, -0.1), (-1.4, -0.1),
      (-1.4, 0.1), (2.2, 0.1), (2.2, 0.7), (-2.0, 0.7)]
@@ -37,12 +38,12 @@ corners = np.array(
 order = np.argsort(report.eta)[::-1][:10]
 print("\nten largest eta_K, distance from nearest obstacle corner:")
 for t in order:
-    c = history.mesh.vertices[history.mesh.triangles[t]].mean(axis=0)
+    c = final.vertices[final.triangles[t]].mean(axis=0)
     d = np.min(np.linalg.norm(corners - c, axis=1))
     print(f"  eta = {report.eta[t]:.4f}  at ({c[0]:+.3f}, {c[1]:+.3f})  corner dist {d:.3f}")
 
 mags = triangle_magnitudes(history.field)
-shadow = history.mesh.vertices[history.mesh.triangles].mean(axis=1)
+shadow = final.vertices[final.triangles].mean(axis=1)
 behind = mags[shadow[:, 0] > 2.4].mean()
 front = mags[shadow[:, 0] < -2.2].mean()
 print(f"\nmean |u| ahead of the obstacle (x < -2.2): {front:.3f}")

@@ -18,8 +18,11 @@ global DOF to its free index (ascending, -1 on the obstacle), and the
 volume triplets are written straight into that numbering.  The lifting
 right-hand side comes from the obstacle columns of the element matrices
 on the triangles that touch the obstacle, never from a full-size matrix.
-The dense block is merged into the volume matrix already sorted by
-column, and the CSC matrix is built once.  Its pattern is exactly that
+The volume matrix V is summed once (COO -> CSC) after the element
+arrays are released, and its triplets and those of the dense block
+make the CSC matrix in one more conversion (one conversion of all
+triplets peaked higher).  No position gets two entries from either, so
+the sums do not depend on their order, and the pattern is exactly that
 of summing all triplets, explicit zeros included (sparse + would drop
 them).  The minimum-degree ordering depends on the pattern and, mildly,
 on the vertex numbering: numbering one adaptive ex1 mesh (13 952 free
@@ -289,52 +292,12 @@ def check_consistent(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum):
         raise InvalidParameter("mesh outer radius does not match the configured R")
 
 
-def _add_dense_block(V: sp.csc_matrix, idx: np.ndarray, block: np.ndarray) -> sp.csc_matrix:
-    """V with block[a, b] added at (idx[a], idx[b]), for distinct idx.
-
-    V must be canonical CSC.  The result stores the union of V's pattern
-    and idx x idx with sorted row indices, explicit zeros included, so it
-    has the pattern that summing both as COO triplets would give.
-    """
-    n = V.shape[0]
-    order = np.argsort(idx)
-    o = idx[order]
-    K = len(o)
-    # the block in CSC order: column c holds rows o, read from column order[c]
-    vals = np.take(block, order[None, :] * K + order[:, None])
-
-    # entries of V in the block's columns, and the block rows above each
-    start = V.indptr[o]
-    cnt = V.indptr[o + 1] - start
-    col = np.repeat(np.arange(K), cnt)
-    ent = np.arange(cnt.sum()) + np.repeat(start - (np.cumsum(cnt) - cnt), cnt)
-    rows = V.indices[ent]
-    below = np.searchsorted(o, rows)
-    shared = o[np.minimum(below, K - 1)] == rows
-    shared_in_col = np.bincount(col[shared], minlength=K)
-    # shared entries above each one in its own column
-    shared_before = np.cumsum(shared) - shared
-    shared_before -= (np.cumsum(shared_in_col) - shared_in_col)[col]
-
-    grow = np.zeros(n, dtype=np.int64)
-    grow[o] = K - shared_in_col
-    indptr = V.indptr + np.concatenate(([0], np.cumsum(grow)))
-    # each entry of V moves past the entries added to earlier columns and
-    # past the block rows above it in its own column, less those it shares
-    pos = np.arange(V.nnz) + np.repeat(indptr[:-1] - V.indptr[:-1], np.diff(V.indptr))
-    pos[ent] += below - shared_before
-
-    in_block = np.zeros(n, dtype=bool)
-    in_block[o] = True
-    slots = np.repeat(in_block, np.diff(indptr))
-    slots[pos[ent[~shared]]] = False
-    data = np.zeros(indptr[-1], dtype=np.result_type(V.dtype, block.dtype))
-    indices = np.empty(indptr[-1], dtype=V.indices.dtype)
-    data[slots] = vals.ravel()
-    indices[slots] = np.tile(o, K)
-    data[pos] += V.data
-    indices[pos] = V.indices
-    return sp.csc_matrix((data, indices, indptr), shape=V.shape)
+def _volume_triplets(el: np.ndarray, fdof: np.ndarray):
+    """(data, (rows, cols)) of the element matrices between free DOFs."""
+    rows = np.repeat(fdof, 6, axis=1).ravel()
+    cols = np.tile(fdof, (1, 6)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return el.ravel()[keep], (rows[keep], cols[keep])
 
 
 def assemble(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum) -> LinearSystem:
@@ -375,13 +338,22 @@ def assemble(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum) -> Linear
     rhs = np.zeros(n, dtype=np.complex128)
     np.add.at(rhs, f_t[on_free], -lift[on_free])
 
-    rows = np.repeat(fdof, 6, axis=1).ravel()
-    cols = np.tile(fdof, (1, 6)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    V = sp.coo_matrix((el.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc()
-
+    # V with its duplicates summed, then its triplets next to those of -D
+    V = sp.coo_matrix(_volume_triplets(el, fdof), shape=(n, n))
+    del el
+    V = V.tocsc().tocoo()
     ddofs, D = dtn_block(mesh, spectrum)
-    A = _add_dense_block(V, free_index[ddofs], np.negative(D, out=D))
+    d = free_index[ddofs]
+    m, K = V.nnz, len(d)
+    data = np.empty(m + K * K, dtype=np.complex128)
+    rows = np.empty(m + K * K, dtype=np.int32)
+    cols = np.empty(m + K * K, dtype=np.int32)
+    data[:m], rows[:m], cols[:m] = V.data, V.row, V.col
+    np.negative(D, out=data[m:].reshape(K, K))
+    rows[m:].reshape(K, K)[:] = d[:, None]
+    cols[m:].reshape(K, K)[:] = d[None, :]
+    del V, D
+    A = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
     return LinearSystem(A, rhs, free, dir_dofs, g, mesh, config)
 
 

@@ -38,10 +38,8 @@ class RunRecord:
 @dataclass
 class RunHistory:
     records: list[RunRecord]
-    config: ProblemConfig
     spectrum: DtnSpectrum  # the one the loop solved with
-    mesh: Mesh
-    field: assembly.SolutionField
+    field: assembly.SolutionField  # the final field, on the final mesh
     u_inc_h1: float
     report: estimator.EstimateReport  # indicators of the final field
     stop_reason: str  # "tolerance", "max_dof", "max_iters" or "rounds"
@@ -129,7 +127,7 @@ def _refinement_loop(config, initial_mesh, stop, next_mesh) -> RunHistory:
         records.append(_record(len(records), field, report, t0))
         reason = stop(report, len(records))
         if reason is not None:
-            return RunHistory(records, config, spectrum, current, field, u_inc_h1, report, reason)
+            return RunHistory(records, spectrum, field, u_inc_h1, report, reason)
         current = next_mesh(current, report)
         # release the old field, and with it the old mesh's cached
         # geometry, before the next system is factored
@@ -191,7 +189,7 @@ def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
 
     os.makedirs(out_dir, exist_ok=True)
     write_history_csv(history, os.path.join(out_dir, "history.csv"))
-    save_mesh(history.mesh, os.path.join(out_dir, "mesh_final.txt"))
+    save_mesh(history.field.mesh, os.path.join(out_dir, "mesh_final.txt"))
     assembly.save_solution_csv(history.field, os.path.join(out_dir, "solution_final.csv"))
     estimator.save_eta_csv(history.report, os.path.join(out_dir, "eta_final.csv"))
     meshmod.save_triangle_scalars(
@@ -224,9 +222,10 @@ _PROBLEM_KEYS = {
 def load_config_file(path) -> dict:
     """key = value lines (# starts a comment) of the problem flags: the
     floats omega, lambda, mu, R, R_hat, theta, tol, the integers N,
-    max_iters, example (1 or 2), and mesh, a path.  Any other key (out,
-    max_dof and rounds are flags only), a value of the wrong type or
-    another example raises InvalidParameter naming path:line."""
+    max_iters, example (1 or 2), and mesh, a path.  A line without '=',
+    any other key (out, max_dof and rounds are flags only), a value of
+    the wrong type or another example raises InvalidParameter naming
+    path:line."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -235,7 +234,7 @@ def load_config_file(path) -> dict:
                 continue
             where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ElastoDtnError(f"{where}: expected 'key = value'")
+                raise InvalidParameter(f"{where}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _PROBLEM_KEYS:
                 raise InvalidParameter(f"{where}: unknown key {key!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SolutionField, check_consistent, incident_h1
+from .assembly import SolutionField, check_consistent
 from .dtn import DtnSpectrum, outer_mode_basis, truncation_error
 from .mesh import OUTER, Mesh, format_rows
 
@@ -136,14 +136,12 @@ def boundary_jumps(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
 
 
 def global_estimate(
-    field: SolutionField,
-    spectrum: DtnSpectrum,
-    u_inc_h1: float | None = None,
+    field: SolutionField, spectrum: DtnSpectrum, u_inc_h1: float
 ) -> EstimateReport:
     """Full indicator sweep: per-element eta_K, eps_h and eps_N.
 
-    u_inc_h1 lets the caller freeze the incident norm on the initial
-    mesh; by default it is recomputed on the current one.
+    eps_N takes u_inc_h1, the incident norm the caller froze on the
+    initial mesh.
     """
     cfg, mesh = field.config, field.mesh
     check_consistent(mesh, cfg, spectrum)
@@ -151,8 +149,6 @@ def global_estimate(
     per_tri = 0.5 * np.sum((mesh.edge_lengths * jump_sq)[mesh.tri_edges], axis=1)
     eta = element_residuals(field) + np.sqrt(per_tri)
     eps_h = math.sqrt(float(np.sum(eta**2)))
-    if u_inc_h1 is None:
-        u_inc_h1 = incident_h1(cfg, mesh)
     eps_N = truncation_error(spectrum.truncation_n, cfg.R_hat, cfg.R, u_inc_h1)
     return EstimateReport(eta, eps_h, eps_N, dof=len(mesh.vertices))
 

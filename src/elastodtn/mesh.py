@@ -91,7 +91,7 @@ class Mesh:
         counts = np.bincount(inverse, minlength=len(self.edges))
         if np.any(counts > 2):
             bad = self.edges[np.argmax(counts > 2)]
-            raise NonConforming(f"edge {tuple(bad)} is shared by more than 2 triangles")
+            raise NonConforming(f"edge {tuple(bad.tolist())} is shared by more than 2 triangles")
         self.edge_tris = np.full((len(self.edges), 2), -1, dtype=np.int64)
         order = np.argsort(inverse, kind="stable")
         tri_of = np.tile(np.arange(n_tri), 3)[order]
@@ -111,7 +111,7 @@ class Mesh:
         if np.any(boundary & (~same | (tag_a == INTERIOR))):
             k = int(np.argmax(boundary & (~same | (tag_a == INTERIOR))))
             raise NonConforming(
-                f"boundary edge {tuple(self.edges[k])} has inconsistent vertex tags"
+                f"boundary edge {tuple(self.edges[k].tolist())} has inconsistent vertex tags"
             )
         self.edge_tags = etags
 
@@ -439,6 +439,8 @@ def load_mesh(path) -> Mesh:
         nv, nt = int(head[1]), int(head[3])
     except ValueError:
         raise ParseError(f"{path}:1: non-integer counts in header") from None
+    if nv < 0 or nt < 0:
+        raise ParseError(f"{path}:1: negative counts in header")
     if len(lines) < 1 + nv + nt:
         raise ParseError(f"{path}: file truncated, need {1 + nv + nt} lines")
 

@@ -115,7 +115,7 @@ class TestRunArtifacts:
 
     @staticmethod
     def fresh_eta_csv(hist, path):
-        spectrum = build_spectrum(hist.config)
+        spectrum = build_spectrum(hist.field.config)
         report = estimator.global_estimate(hist.field, spectrum, u_inc_h1=hist.u_inc_h1)
         estimator.save_eta_csv(report, path)
         return path.read_bytes()
@@ -134,7 +134,7 @@ class TestRunArtifacts:
         hist = adaptive_solve(cfg, example1_mesh(16, 1))
         assert hist.stop_reason == "max_iters"
         assert len(estimate_calls) == 2
-        assert len(hist.report.eta) == len(hist.mesh.triangles)
+        assert len(hist.report.eta) == len(hist.field.mesh.triangles)
         _write_run_outputs(hist, tmp_path / "run", dump_spectrum=True)
         assert len(estimate_calls) == 2
         assert (tmp_path / "run" / "spectrum.txt").exists()
@@ -269,7 +269,7 @@ class TestConfigFile:
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("omega 3.14\n")
-        with pytest.raises(Exception, match="key = value"):
+        with pytest.raises(InvalidParameter, match="key = value"):
             load_config_file(p)
 
 
@@ -435,6 +435,7 @@ class TestCli:
             ("example = 3", "example must be 1 or 2, got 3"),
             ("example = 0", "example must be 1 or 2, got 0"),
             ("N = twelve", "N = 'twelve' is not int"),
+            ("omega 5", "expected 'key = value'"),
         ],
     )
     def test_config_file_is_checked(self, tmp_path, capsys, line, message):

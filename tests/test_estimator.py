@@ -14,7 +14,7 @@ from elastodtn import (
     generate_annulus,
     global_estimate,
 )
-from elastodtn.assembly import SolutionField
+from elastodtn.assembly import SolutionField, incident_h1
 from elastodtn.estimator import boundary_jumps, element_residuals, interior_jumps
 from elastodtn.dtn import fourier_coefficients
 from elastodtn.mesh import OBSTACLE, OUTER
@@ -215,7 +215,7 @@ class TestGlobalEstimate:
     def test_zero_field_zero_estimate(self):
         cfg = example1_config(N=4)
         mesh = generate_annulus(0.5, 1.0, 8, 1)
-        rep = global_estimate(zero_field(mesh, cfg), build_spectrum(cfg))
+        rep = global_estimate(zero_field(mesh, cfg), build_spectrum(cfg), incident_h1(cfg, mesh))
         assert np.all(rep.eta == 0.0)
         assert rep.eps_h == 0.0
         assert rep.eps_N > 0.0
@@ -227,7 +227,9 @@ class TestGlobalEstimate:
         vals = rng.normal(size=(len(mesh.vertices), 2)) + 1j * rng.normal(
             size=(len(mesh.vertices), 2)
         )
-        rep = global_estimate(make_field(mesh, cfg, vals), build_spectrum(cfg))
+        rep = global_estimate(
+            make_field(mesh, cfg, vals), build_spectrum(cfg), incident_h1(cfg, mesh)
+        )
         assert rep.eps_h**2 == pytest.approx(float(np.sum(rep.eta**2)), rel=1e-12)
         assert np.all(rep.eta >= 0.0)
 
@@ -241,7 +243,7 @@ class TestGlobalEstimate:
         vals = np.zeros((len(mesh.vertices), 2), dtype=np.complex128)
         vals[mesh.vertex_tags == OBSTACLE] = (1.0, 0.0)
         f = make_field(mesh, cfg, vals)
-        rep = global_estimate(f, spec)
+        rep = global_estimate(f, spec, incident_h1(cfg, mesh))
         # reconstruct eta for one obstacle-adjacent triangle without any
         # obstacle-edge jump: interior + outer edges only
         t = int(np.flatnonzero((mesh.edge_tags[mesh.tri_edges] == OBSTACLE).any(axis=1))[0])

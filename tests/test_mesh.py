@@ -221,6 +221,7 @@ class TestTextFormat:
             (lambda lines: lines[:1] + ["1 2"] + lines[2:], "x y tag"),
             (lambda lines: lines[:-1] + ["0 1 99"], "out of range"),
             (lambda lines: lines[:8], "truncated"),
+            (lambda lines: ["vertices -1 triangles 0"], ":1: negative counts"),
         ],
     )
     def test_parse_errors_carry_position(self, tmp_path, mutation, message_part):
@@ -276,10 +277,11 @@ class TestMeshClassInvariants:
             Mesh(verts, tris, np.zeros(3, dtype=np.int8))
 
     def test_nonconforming_direct_construction(self):
-        verts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]])
-        tris = np.array([[0, 1, 2], [1, 3, 2], [1, 0, 3]])  # (0,1) in three triangles
-        with pytest.raises((NonConforming, OrientationError)):
+        verts = np.array([[0, 0], [1, 0], [0, 1], [0, -1], [1, 1]])
+        tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])  # (0,1) in three triangles
+        with pytest.raises(NonConforming) as exc:
             Mesh(verts, tris, np.zeros(5, dtype=np.int8), outer_radius=0.0)
+        assert str(exc.value) == "edge (0, 1) is shared by more than 2 triangles"
 
     def test_refinement_edge_is_longest(self):
         m = generate_annulus(0.5, 1.0, 8, 1)

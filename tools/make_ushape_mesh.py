@@ -152,26 +152,12 @@ def smooth(fixed, movable, rounds=6):
     return fixed, movable
 
 
-def quality(pts, tri):
-    p = pts[tri]
-    angles = []
-    for k in range(3):
-        a = p[:, (k + 1) % 3] - p[:, k]
-        b = p[:, (k + 2) % 3] - p[:, k]
-        cosang = np.sum(a * b, axis=1) / (
-            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-        )
-        angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-    return np.min(np.stack(angles))
-
-
 def main(out_path=SRC / "elastodtn" / "data" / "ushape_mesh.txt"):
     upts, seg_of, cpts = boundary_points()
     fixed = np.concatenate([upts, cpts])
     movable = interior_seed_points(upts, cpts)
     fixed, movable = smooth(fixed, movable)
     pts, tri = triangulate(fixed, movable)
-    print(f"points: {len(pts)}  triangles: {len(tri)}  min angle: {quality(pts, tri):.2f} deg")
 
     tags = np.full(len(pts), INTERIOR, dtype=np.int8)
     tags[: len(upts)] = OBSTACLE
@@ -179,7 +165,8 @@ def main(out_path=SRC / "elastodtn" / "data" / "ushape_mesh.txt"):
 
     mesh = Mesh(pts, tri, tags, 0, outer_radius=R, obstacle_radius=None)
     c = mesh.counts()
-    print("counts:", c, "euler:", mesh.euler_characteristic(), "min angle:", mesh.min_angle())
+    min_angle = mesh.min_angle()
+    print("counts:", c, "euler:", mesh.euler_characteristic(), f"min angle: {min_angle:.2f} deg")
 
     # every obstacle boundary edge must lie on a U segment
     obs_edges = mesh.edges[mesh.edge_tags == OBSTACLE]
@@ -192,7 +179,7 @@ def main(out_path=SRC / "elastodtn" / "data" / "ushape_mesh.txt"):
     assert d.max() < 1e-9, f"obstacle edge off the polygon: {d.max()}"
     assert c["obstacle_edges"] == len(upts), (c["obstacle_edges"], len(upts))
     assert c["outer_edges"] == N_CIRCLE
-    assert mesh.min_angle() >= 18.0, mesh.min_angle()
+    assert min_angle >= 18.0, min_angle
 
     save_mesh(mesh, out_path)
     print("wrote", out_path)
