@@ -18,7 +18,7 @@ np.set_printoptions(precision=6)
 # broken recurrence shows up here immediately.
 
 z = 3.0
-J, Y = bessel_jy(8, z)  # orders 0..8 from one ladder
+J, Y = bessel_jy(8, z)  # orders 0..8 from one call
 print("n, J_n(3), Y_n(3):")
 for n in range(5):
     print(f"  {n}  {J[n]:+.12f}  {Y[n]:+.12f}")
@@ -28,7 +28,7 @@ print("max |Wronskian - 2/(pi z)| =", np.max(np.abs(wronskian - 2 / (np.pi * z))
 
 
 # --- derivatives -----------------------------------------------------------
-# H_n' = H_{n-1} - (n/z) H_n needs only the ladder at z itself.
+# H_n' = H_{n-1} - (n/z) H_n needs only the orders at z itself.
 def hankel_ladder(n_max, z):
     J, Y = bessel_jy(n_max, z)
     return J + 1j * Y
@@ -47,7 +47,7 @@ print(f"\nH_7'(4.0) = {H[6] - 7 / 4.0 * H[7]:.10f}, finite difference {fd:.10f}"
 k1, k2 = np.pi / 2, np.pi
 target = (k1**2 + k2**2) / 2
 ns = np.array([8, 32, 128, 512])
-_, _, lambda_n = mode_scalar_arrays(ns, k1, k2, 1.0)  # one ladder per wavenumber
+_, _, lambda_n = mode_scalar_arrays(ns, k1, k2, 1.0)  # one recurrence per wavenumber
 print("\nn, Lambda_n(1), |Lambda_n - (k1^2+k2^2)/2| * n:")
 for n, lam in zip(ns, lambda_n):
     print(f"  {n:4d}  {lam:+.6f}  {abs(lam - target) * n:.4f}")
@@ -62,7 +62,7 @@ for n, lam in zip(ns, lambda_n):
 
 print("\nn, ratio gap, bound k2(k2-k1)(R^2-Rh^2)(Rh/R)^n/(n-1):")
 ns = np.array([30, 60, 90, 120])
-gaps = hankel_ratio_gap(ns, k1, k2, 0.5, 1.0)  # one ladder per argument
+gaps = hankel_ratio_gap(ns, k1, k2, 0.5, 1.0)  # one recurrence per argument
 bounds = k2 * (k2 - k1) * 0.75 * 0.5**ns / (ns - 1)
 for n, g, bound in zip(ns, gaps, bounds):
     print(f"  {n:4d}  {g:.3e}  {bound:.3e}")

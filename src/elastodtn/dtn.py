@@ -85,16 +85,16 @@ def _mode_matrices(ns, alpha1, alpha2, L, omega, mu, R) -> np.ndarray:
 def build_spectrum(config) -> DtnSpectrum:
     """All mode matrices |n| <= config.N for the given material and radius.
 
-    config only needs attributes omega, lam, mu, R and N.  The scalars
-    depend on |n| only: one Bessel ladder per wavenumber gives them for
-    every m <= N, and each M_n reads the scalars of |n|.
+    config is a ProblemConfig (omega, lam, mu, R, N and the wavenumbers
+    kappa1, kappa2).  The scalars depend on |n| only: one Hankel ratio
+    recurrence per wavenumber gives them for every m <= N, and each M_n
+    reads the scalars of |n|.
     """
     N = int(config.N)
     if N < 0:
         raise InvalidParameter("truncation order N must be nonnegative")
     omega, lam, mu, R = config.omega, config.lam, config.mu, config.R
-    kappa1 = omega / math.sqrt(lam + 2.0 * mu)
-    kappa2 = omega / math.sqrt(mu)
+    kappa1, kappa2 = config.kappa1, config.kappa2
     a1, a2, lambda_n = mode_scalar_arrays(np.arange(N + 1), kappa1, kappa2, R)
     ns = np.arange(-N, N + 1)
     m = np.abs(ns)

@@ -28,22 +28,22 @@ Against ``scipy.special.hankel1`` the relative error of :math:`H_0` and
 both for one call on the whole range and for calls on narrow windows of
 it, where each window gets its own start and term count.
 
-Orders 0..n_max at one argument come from a single ladder, built afresh on
-every call (results never depend on earlier calls):
+Higher orders at one argument are computed afresh on every call (results
+never depend on earlier calls), seeded by ``hankel01``:
 
-* :math:`J_n` by Miller's downward recurrence, started above both n_max
-  and the turning point (``_miller_start``);
-* :math:`Y_n` by the (upward-stable) forward recurrence from the ``hankel01``
-  seeds :math:`Y_0, Y_1`, carried as a mantissa/log-scale pair so that
-  orders far beyond the overflow point of a plain double remain usable in
-  ratios.
-
-``bessel_jy`` returns the ladder as float arrays.  ``mode_scalar_arrays``
-forms :math:`H_n'(z)/H_n(z)` for every requested order from one ladder per
-wavenumber, and ``hankel_ratio_gap`` forms :math:`H_n(z_1)/H_n(z_2)`, both
-directly from the scaled representation, which is what keeps the
-scattering scalars finite at mode numbers where :math:`|Y_n|` alone would
-overflow.
+* ``bessel_jy``: :math:`J_n` by Miller's downward recurrence, started
+  above both n_max and the turning point (``_miller_start``), and
+  :math:`Y_n` by the (upward-stable) forward recurrence from
+  :math:`Y_0, Y_1`, which raises ``OverflowRegime`` at the first order
+  whose :math:`|Y_n|` is not a finite double.
+* ``mode_scalar_arrays`` and ``hankel_ratio_gap``: the ratios
+  :math:`\rho_m = H_{m-1}(z)/H_m(z)` by their own forward recurrence
+  :math:`\rho_{m+1} = 1/(2m/z - \rho_m)`, which is stable because
+  :math:`|H_m(z)|` grows with m (Gautschi, SIAM Review 9, 1967).  Only
+  ratios enter, so the scattering scalars stay finite at mode numbers
+  where :math:`|Y_n|` alone would overflow, and :math:`\Lambda_n` is
+  formed from them without the cancellation of
+  :math:`(n/R)^2 - \alpha_1\alpha_2`.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024310421
 
 _MAX_ORDER = 1024
 _RESCALE = 1e250
-_LOG_RESCALE = math.log(_RESCALE)
-_LOG_MAX = math.log(np.finfo(np.float64).max)
 # _jy01_into: Hankel's expansion from _ASYMPTOTIC_SWITCH on, with at most
 # _ASYMPTOTIC_TERMS terms and a first omitted term below _ASYMPTOTIC_TOL;
 # Miller's recurrence below it, started where (z/2)^m / m! < _MILLER_TOL,
@@ -115,38 +113,6 @@ def _miller_j(n_hi: int, z: float) -> np.ndarray:
     return f[: n_hi + 1] / s
 
 
-def _ladder(n_max: int, z: float):
-    """(J, Y-mantissa, Y-logscale) arrays for orders 0..n_max at argument z."""
-    if not math.isfinite(z):
-        raise InvalidParameter(f"argument must be finite, got z={z}")
-    if not z > 0.0:
-        raise NonPositiveArgument(f"argument must be positive, got z={z}")
-    if n_max > _MAX_ORDER:
-        raise OrderCapExceeded(
-            f"order {n_max} exceeds the supported maximum {_MAX_ORDER}"
-        )
-    J = _miller_j(n_max, z)
-    y0, y1 = (float(h[0].imag) for h in hankel01(np.array([z])))
-    mant = np.zeros(n_max + 1)
-    slog = np.zeros(n_max + 1)
-    mant[0] = y0
-    if n_max >= 1:
-        mant[1] = y1
-    a, b = y0, y1
-    cur = 0.0
-    for n in range(1, n_max):
-        c = (2.0 * n / z) * b - a
-        if abs(c) > _RESCALE:
-            a *= 1.0 / _RESCALE
-            b *= 1.0 / _RESCALE
-            c *= 1.0 / _RESCALE
-            cur += _LOG_RESCALE
-        a, b = b, c
-        mant[n + 1] = c
-        slog[n + 1] = cur
-    return J, mant, slog
-
-
 def bessel_jy(n_max: int, z: float) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate J_n(z) and Y_n(z) for n = 0..n_max.
 
@@ -167,72 +133,89 @@ def bessel_jy(n_max: int, z: float) -> tuple[np.ndarray, np.ndarray]:
         If z <= 0.
     InvalidParameter
         If n_max < 0 or z is not finite.
+    OrderCapExceeded
+        If n_max > 1024.
     OverflowRegime
         If |Y_n(z)| exceeds the largest finite double before n_max is
         reached.  The caller must lower the requested order.
     """
     if n_max < 0:
         raise InvalidParameter("n_max must be nonnegative")
-    J, mant, slog = _ladder(n_max, z)
-    with np.errstate(over="ignore"):
-        total = slog + np.log(np.maximum(np.abs(mant), 1e-320))
-    if np.any(total > _LOG_MAX):
-        n_bad = int(np.argmax(total > _LOG_MAX))
-        raise OverflowRegime(
-            f"|Y_{n_bad}({z})| is not representable as a double; "
-            f"reduce the order (requested n_max={n_max})"
-        )
-    return J, mant * np.exp(slog)
+    _check_cap(n_max)
+    h0, h1 = hankel01(np.array([z]))
+    Y = [float(h0[0].imag), float(h1[0].imag)][: n_max + 1]
+    for n in range(1, n_max):
+        y = (2.0 * n / z) * Y[n] - Y[n - 1]
+        if not math.isfinite(y):
+            raise OverflowRegime(
+                f"|Y_{n + 1}({z})| is not representable as a double; "
+                f"reduce the order (requested n_max={n_max})"
+            )
+        Y.append(y)
+    return _miller_j(n_max, z), np.array(Y)
 
 
-def _alphas(m_max: int, kappa: float, radius: float) -> np.ndarray:
-    """alpha_m = kappa H_m'(kappa r) / H_m(kappa r) for m = 0..m_max from one
-    ladder: H_0' = -H_1, and H_m'/H_m = H_{m-1}/H_m - m/z for m >= 1, with
-    both values scaled by the log-scale of Y_m (J damped, the Y_{m-1}
-    mantissa shifted), so the ratio stays finite past the overflow of Y_m."""
-    z = kappa * radius
-    J, mant, slog = _ladder(max(m_max, 1), z)
-    damp = np.exp(-slog[1:])  # underflows to 0 beyond the first rescale
-    shift = np.exp(np.minimum(slog[:-1] - slog[1:], 0.0))
-    num = J[:-1] * damp + 1j * (mant[:-1] * shift)  # H_{m-1}, num[0] = H_0
-    den = J[1:] * damp + 1j * mant[1:]  # H_m, den[0] = H_1
-    ratio = np.concatenate([-den[:1] / num[:1], num / den - np.arange(1, J.size) / z])
-    return kappa * ratio[: m_max + 1]
+def _hankel_ratios(m_max: int, z: float) -> np.ndarray:
+    """rho_m = H_{m-1}(z) / H_m(z) for m = 0..m_max, with H_{-1} = -H_1.
+
+    The seed rho_0 = -H_1/H_0 comes from hankel01; the recurrence
+    H_{m+1} = (2m/z) H_m - H_{m-1} gives rho_{m+1} = 1 / (2m/z - rho_m).
+    |H_m(z)| grows with m (Nicholson's formula, DLMF 10.9.30), so
+    |rho_m| <= 1 from m = 1 on, and an error in rho_m reaches rho_{m+1}
+    multiplied by rho_{m+1}^2: it never grows.
+    """
+    h0, h1 = (complex(h[0]) for h in hankel01(np.array([z])))
+    rho = [-h1 / h0]
+    for m in range(m_max):
+        rho.append(1.0 / (2.0 * m / z - rho[m]))
+    return np.array(rho)
+
+
+def _check_cap(n: int) -> None:
+    if n > _MAX_ORDER:
+        raise OrderCapExceeded(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
 
 
 def _orders(ms) -> np.ndarray:
     ms = np.asarray(ms)
     if ms.dtype.kind not in "iu" or ms.ndim != 1 or ms.size == 0 or ms.min() < 0:
         raise InvalidParameter("orders must be a nonempty 1-d array of integers >= 0")
+    _check_cap(int(ms.max()))
     return ms
 
 
 def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
     """alpha_1, alpha_2 and Lambda at the integer orders ms = |n| >= 0 (a 1-d
-    array), from one ladder per wavenumber.  Raises InvalidParameter for an
-    empty, non-integer or negative order, OrderCapExceeded above order 1024,
-    and DegenerateMode if any |Lambda| < 1e-14 (that mode matrix would be
-    singular; an exceptional frequency/radius pair)."""
+    array), from one ratio recurrence per wavenumber.
+
+    With beta_j = kappa_j H_{m-1}(kappa_j r) / H_m(kappa_j r), alpha_j =
+    beta_j - m/r and Lambda = (m/r)(beta_1 + beta_2) - beta_1 beta_2, which
+    does not cancel where (m/r)^2 - alpha_1 alpha_2 would (m >> kappa r).
+    Raises InvalidParameter for an empty, non-integer or negative order,
+    OrderCapExceeded above order 1024, and DegenerateMode if any |Lambda|
+    is below 1e-14 times the sum of its two terms' moduli (that mode
+    matrix would be singular; an exceptional frequency/radius pair)."""
     if not (0.0 < kappa1 < kappa2):
         raise InvalidParameter("wavenumbers must satisfy 0 < kappa1 < kappa2")
     if not radius > 0.0:
         raise NonPositiveArgument("radius must be positive")
     ms = _orders(ms)
-    a1 = _alphas(int(ms.max()), kappa1, radius)[ms]
-    a2 = _alphas(int(ms.max()), kappa2, radius)[ms]
-    lam = (ms / radius) ** 2 - a1 * a2
-    bad = np.flatnonzero(np.abs(lam) < 1e-14)
+    b1, b2 = (k * _hankel_ratios(int(ms.max()), k * radius)[ms] for k in (kappa1, kappa2))
+    angular = ms / radius
+    cross, product = angular * (b1 + b2), b1 * b2
+    lam = cross - product
+    bad = np.flatnonzero(np.abs(lam) < 1e-14 * (np.abs(cross) + np.abs(product)))
     if bad.size:
         k = bad[0]
         raise DegenerateMode(f"Lambda_{ms[k]} = {complex(lam[k])} is numerically "
                              f"singular at radius {radius}")
-    return a1, a2, lam
+    return b1 - angular, b2 - angular, lam
 
 
 def hankel_ratio_gap(ns, kappa1: float, kappa2: float, R_hat: float, R: float) -> np.ndarray:
     """|H_n(k1 R)/H_n(k1 Rh) - H_n(k2 R)/H_n(k2 Rh)| at the integer orders
     ns >= 0 (a 1-d array, validated as in mode_scalar_arrays), from one
-    ladder per argument.
+    ratio recurrence per argument.
 
     Property-test quantity only: its decay in n is what makes the DtN
     truncation error exponentially small.
@@ -245,13 +228,11 @@ def hankel_ratio_gap(ns, kappa1: float, kappa2: float, R_hat: float, R: float) -
     top = int(ns.max())
     ratios = []
     for kappa in (kappa1, kappa2):
-        # H_n(kappa R) / H_n(kappa Rh) through the scaled ladders: both
-        # values are scaled by the log-scale of Y_n(kappa Rh)
-        Jn, mn, sn = (a[ns] for a in _ladder(top, kappa * R))
-        Jd, md, sd = (a[ns] for a in _ladder(top, kappa * R_hat))
-        damp = np.exp(-sd)  # underflows to 0 beyond the first rescale
-        shift = np.exp(np.minimum(sn - sd, 700.0))
-        ratios.append((Jn * damp + 1j * (mn * shift)) / (Jd * damp + 1j * md))
+        # H_n(a)/H_n(b) = [H_0(a)/H_0(b)] prod_{m=1..n} rho_m(b)/rho_m(a)
+        a, b = kappa * R, kappa * R_hat
+        h0 = hankel01(np.array([a, b]))[0]
+        steps = _hankel_ratios(top, b)[1:] / _hankel_ratios(top, a)[1:]
+        ratios.append((h0[0] / h0[1]) * np.concatenate([[1.0], np.cumprod(steps)])[ns])
     return np.abs(ratios[0] - ratios[1])
 
 
@@ -343,7 +324,7 @@ def _jy01_miller(z: np.ndarray):
     # |F_{n-1}| <= (1 + 2n/z) max(|F_n|, |F_{n+1}|): where the product of
     # these factors keeps the seed below _RESCALE, no step can rescale
     growth = np.log1p(2.0 * np.arange(1, start + 1) / z.min()).sum()
-    may_rescale = math.log(seed) + growth > _LOG_RESCALE
+    may_rescale = math.log(seed) + growth > math.log(_RESCALE)
     two_over_z = 2.0 / z
     f_hi = np.zeros_like(z)
     f = np.full_like(z, seed)
@@ -375,19 +356,15 @@ def _jy01_miller(z: np.ndarray):
 def _jy01_into(z: np.ndarray, rows) -> None:
     """J_0, J_1, Y_0, Y_1 of the 1-D arguments z into the four writable
     1-D arrays rows, in chunks of _CHUNK points.  Each point comes from the
-    regime of its argument; a chunk in one regime is not split."""
+    regime of its argument."""
     for lo in range(0, z.size, _CHUNK):
         part = z[lo : lo + _CHUNK]
         dest = [r[lo : lo + _CHUNK] for r in rows]
         big = part >= _ASYMPTOTIC_SWITCH
-        if big.all() or not big.any():
-            kernel = _jy01_asymptotic if big[0] else _jy01_miller
-            for d, v in zip(dest, kernel(part)):
-                d[...] = v
-            continue
         for mask, kernel in ((big, _jy01_asymptotic), (~big, _jy01_miller)):
-            for d, v in zip(dest, kernel(part[mask])):
-                d[mask] = v
+            if mask.any():  # the kernels read min(z) and max(z)
+                for d, v in zip(dest, kernel(part[mask])):
+                    d[mask] = v
 
 
 def _arguments(z) -> np.ndarray:
@@ -404,8 +381,8 @@ def hankel01(z):
 
     The workhorse for field evaluation on point clouds.  Callers that
     need derivatives form them from H_0' = -H_1 and H_1' = H_0 - H_1/z.
-    Points go through in chunks of 2^16, so memory stays O(chunk).  The
-    order ladder takes its Y_0, Y_1 seeds from the imaginary parts.
+    Points go through in chunks of 2^16, so memory stays O(chunk).
+    bessel_jy and the Hankel ratio recurrence take their seeds from it.
     """
     z = _arguments(z)
     flat = z.ravel()

@@ -36,7 +36,7 @@ from elastodtn.mesh import OUTER, refine
 
 def unsimplified_mode_matrix(n, omega, lam, mu, R):
     """Oracle: raw matrix entries via H'' from the Bessel ODE, with H_n and
-    H_n' from scipy (AMOS), independent of the library's ladder."""
+    H_n' from scipy (AMOS), independent of the library's recurrences."""
     k1 = omega / math.sqrt(lam + 2 * mu)
     k2 = omega / math.sqrt(mu)
 
@@ -122,19 +122,19 @@ class TestModeMatrices:
 
 
 class TestDegenerateMode:
-    """At R = 1, alpha_13 = alpha_23 = 3 makes Lambda_3 = 9 - 3 * 3 = 0."""
+    """At R = 1, beta_13 = beta_23 = 6 makes Lambda_3 = 3 * 12 - 6 * 6 = 0."""
 
     @pytest.fixture
     def lambda3_zero(self, monkeypatch):
-        alphas = specfun._alphas
+        ratios = specfun._hankel_ratios
 
-        def patched(m_max, kappa, radius):
-            a = alphas(m_max, kappa, radius)
+        def patched(m_max, z):
+            r = ratios(m_max, z)
             if m_max >= 3:
-                a[3] = 3.0
-            return a
+                r[3] = 6.0 / z  # beta = kappa rho = 6 at R = 1
+            return r
 
-        monkeypatch.setattr(specfun, "_alphas", patched)
+        monkeypatch.setattr(specfun, "_hankel_ratios", patched)
 
     def test_build_spectrum_raises(self, lambda3_zero):
         with pytest.raises(DegenerateMode, match="Lambda_3 "):
@@ -144,10 +144,16 @@ class TestDegenerateMode:
         k1, k2 = math.pi / 2, math.pi
         with pytest.raises(DegenerateMode, match="Lambda_3 "):
             mode_scalar_arrays(np.array([0, 3, 5]), k1, k2, 1.0)
-        # order 3 sits in the ladders but is not requested
+        # order 3 sits in the recurrences but is not requested
         lam = mode_scalar_arrays(np.array([0, 2, 4, 5]), k1, k2, 1.0)[2]
         assert np.all(lam != 0)
         assert np.isfinite(build_spectrum(example1_config(N=2)).matrix_stack()).all()
+
+    def test_small_lambda_of_a_low_frequency_is_not_degenerate(self):
+        """At omega = 3e-8, Lambda_2 is about 1.1e-15 (mpmath: 1.125e-15):
+        small in absolute terms, but not against the terms it is formed from."""
+        lam = mode_scalar_arrays(np.arange(3), 1.5e-8, 3e-8, 1.0)[2]
+        assert lam[2] == pytest.approx(1.125e-15, rel=1e-3)
 
 
 def reference_spectrum_table(spectrum):

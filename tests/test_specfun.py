@@ -34,12 +34,22 @@ def j0_series(z):
 
 
 def max_feasible_order(z, cap=256):
-    """Largest n <= cap with Y_n(z) still representable, read off one ladder
-    (bessel_jy(n, z) raises OverflowRegime from the first such order on)."""
-    _, mant, slog = specfun._ladder(cap, z)
-    log_y = slog + np.log(np.maximum(np.abs(mant), 1e-320))
-    over = np.flatnonzero(log_y > specfun._LOG_MAX)
-    return int(over[0]) - 1 if over.size else cap
+    """Largest n <= cap with Y_n(z) still representable (bessel_jy(n, z)
+    raises OverflowRegime from the first such order on), by bisection on
+    mpmath's log|Y_n(z)|; |Y_n| grows with n past the turning point."""
+    mpmath = pytest.importorskip("mpmath")
+    log_max = math.log(np.finfo(np.float64).max)
+    with mpmath.workdps(30):
+        def over(n):
+            return mpmath.log(abs(mpmath.bessely(n, z))) > log_max
+
+        if not over(cap):
+            return cap
+        lo, hi = 0, cap  # Y_lo representable, Y_hi not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if over(mid) else (mid, hi)
+    return lo
 
 
 class TestBesselJy:
@@ -160,7 +170,7 @@ class TestModeScalars:
 
     @pytest.mark.parametrize("omega", [math.pi, 2.7])
     def test_results_do_not_depend_on_earlier_calls(self, omega):
-        """Each call builds its own ladders: longer ladders at kappa_j R,
+        """Each call runs its own recurrences: longer ones at kappa_j R,
         even one that ends in OverflowRegime, leave the spectrum at those
         arguments bit for bit as it was.  No other test uses omega = 2.7,
         so that case holds whatever ran before it."""
@@ -198,8 +208,8 @@ class TestHankelRatioGap:
             hankel_ratio_gap(np.array([10]), K1, K2, 1.0, 0.5)
 
     def test_array_matches_single_orders(self):
-        """The ladders of the top order serve every lower order: the Miller
-        start moves with the top order, the values by at most 1e-12."""
+        """The ratio recurrences up to the top order serve every lower order,
+        with the values of a call for that order alone to within 1e-12."""
         ns = np.arange(30, 121)
         together = hankel_ratio_gap(ns, K1, K2, 0.5, 1.0)
         alone = np.array([hankel_ratio_gap(ns[i : i + 1], K1, K2, 0.5, 1.0)[0]
@@ -294,6 +304,45 @@ class TestJy01FittedRules:
         assert specfun._jy01_start(math.pi) <= 30
         assert specfun._hankel_terms(250.0) <= 12
         assert specfun._hankel_terms(specfun._ASYMPTOTIC_SWITCH) == specfun._ASYMPTOTIC_TERMS
+
+
+class TestScalarsAgainstMpmath:
+    """alpha_1, alpha_2, Lambda_n and M_n of build_spectrum (lam = 2, mu = 1,
+    R = 1, N = 1024) against the defining formulas in 30-digit mpmath:
+    alpha_j = kappa_j H_n'(kappa_j R) / H_n(kappa_j R) with
+    H_n' = H_{n-1} - (n/z) H_n, Lambda_n = (n/R)^2 - alpha_1 alpha_2 and
+    M_n from the entry formulas of the dtn module.  At n >> kappa R the
+    subtraction in Lambda_n cancels in double precision, not in mpmath."""
+
+    OMEGAS = [1e-3, 1e-2, 0.1, 1.0, math.pi, 30.0]
+    NS = [0, 1, 2, 3, 7, 40, 100, 200, 500, 1024]
+
+    @staticmethod
+    def reference(mpmath, omega, n):
+        w = mpmath.mpf(omega)
+        alphas = []
+        for k in (w / 2, w):  # kappa_1 = omega / sqrt(lam + 2 mu), kappa_2 = omega
+            h = mpmath.hankel1(n, k)
+            alphas.append(k * (mpmath.hankel1(n - 1, k) - (n / k) * h) / h)
+        a1, a2 = alphas
+        lam = n * n - a1 * a2
+        n12 = 1j * n * (w * w - lam)
+        M = [[-lam + a2 * w * w, n12], [-n12, -lam + a1 * w * w]]
+        return complex(a1), complex(a2), complex(lam), np.array(
+            [[complex(x / lam) for x in row] for row in M])
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_scalars_and_matrices(self, omega):
+        mpmath = pytest.importorskip("mpmath")
+        spec = build_spectrum(example1_config(omega=omega, N=1024))
+        for n in self.NS:
+            with mpmath.workdps(30):
+                a1, a2, lam, M = self.reference(mpmath, omega, n)
+            for got, want in ((spec.alpha1[n], a1), (spec.alpha2[n], a2),
+                              (spec.lambda_n[n], lam)):
+                assert abs(got - want) <= 1e-14 * abs(want), n
+            err = np.abs(spec.matrices[1024 + n] - M).max()
+            assert err <= 1e-14 * np.abs(M).max(), n
 
 
 class TestModeScalarsHighFrequency:
