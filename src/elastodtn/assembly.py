@@ -8,10 +8,11 @@ The discrete form is
 with u = -u_inc on the obstacle boundary.  Stiffness and divergence terms
 are closed-form for P1 (constant gradients); the mass term uses the
 3-point edge-midpoint rule, exact for quadratics, so no quadrature
-tolerance enters the chain.  The DtN term couples all outer-boundary
-DOFs through the mode-weight matrix, a dense block; at desk scale the
-outer boundary carries O(sqrt(DoF)) nodes, so a sparse direct
-factorization of the combined system stays cheap.
+tolerance enters the chain.  The DtN term couples all K outer-boundary
+DOFs through the 2N+1 modes: with B the r x K trace map of
+dtn.outer_mode_basis (r = 2(2N+1) polar coefficients) and M the block
+diagonal of the mode matrices, it is D = 2 pi R B^H M B, dense on the
+outer DOFs.
 
 assemble() works in one pass in free-DoF numbering.  A map sends each
 global DOF to its free index (ascending, -1 on the obstacle), and the
@@ -19,7 +20,7 @@ volume triplets are written straight into that numbering.  The lifting
 right-hand side comes from the obstacle columns of the element matrices
 on the triangles that touch the obstacle, never from a full-size matrix.
 The volume matrix V is summed once (COO -> CSC) after the element
-arrays are released, and its triplets and those of the dense block
+arrays are released, and its triplets and those of the DtN coupling
 make the CSC matrix in one more conversion (one conversion of all
 triplets peaked higher).  No position gets two entries from either, so
 the sums do not depend on their order, and the pattern is exactly that
@@ -30,15 +31,53 @@ DoF) lexicographically moves the nonzeros of L + U from 1.25 M to
 1.17 M.  Dropping the explicit zeros moved the stored LU entries by
 -3.5 % to +1.8 % over the systems of the benchmark runs.
 
-The assembled matrix is complex symmetric (A = A^T, not Hermitian):
-every volume term is symmetric, and the DtN block inherits symmetry from
-M_{-n} = M_n^T together with W_{-n} = conj(W_n).
+The DtN coupling takes one of two forms, chosen from K and r.  When
+K < _BORDER_FROM * r, the system matrix A = V - D is one CSC matrix with
+D as a dense K x K block.  Otherwise assemble() stores the bordered
+matrix F = [[V, -2 pi R B^H M], [B, -I]] of order n + r, with 2 K r + r
+coupling entries instead of K^2.  A is its Schur complement on the n
+free DOFs, so F [x; y] = [b; 0] gives A x = b, and LinearSystem.matrix
+is a BorderedMatrix that applies A through F.  The modal unknowns couple
+every outer DOF, so the bordered factor pays off only once K is large
+against r.  Factors of both forms on example 1 (N = 35, r = 142; the
+annulus of s segments and L layers refined twice, and s = 64 three
+times), stored LU entries and the bordered/dense ratio of the factor
+time (one thread, minimum of 3; tools/coupling_crossover.py):
 
-solve() exploits the symmetric pattern: SuperLU orders the columns by
-minimum degree on A^T + A, and symmetric mode builds the elimination
-tree from A^T + A as well, the graph that was ordered, and prefers
-diagonal pivots.  At 131 k free DoF this stores 20 M LU entries where
-the default COLAMD ordering stores 50 M.
+    K/r   s    L   free DoF   LU dense    LU bordered  time ratio
+    3.61  64   4     8 192       844 696      892 490     0.77
+    3.61  64   6    12 288     1 311 896    1 370 962     0.92
+    3.61  64   8    16 384     1 764 856    1 922 970     1.24
+    4.06  72   4     9 216       995 528      969 290     0.75
+    4.06  72   8    18 432     2 040 952    2 018 962     0.87
+    4.51  80   4    10 240     1 154 792    1 092 082     0.72
+    4.51  80   8    20 480     2 325 240    2 263 266     0.85
+    5.41  96   4    12 288     1 497 896    1 332 706     0.90
+    5.41  96   8    24 576     2 918 392    2 743 682     0.74
+    6.31  112  4    14 336     1 873 768    1 532 298     0.38
+    6.31  112  8    28 672     3 544 312    3 178 906     0.74
+    7.21  64   4    32 768     4 209 200    3 665 578     0.67
+    7.21  64   8    65 536    10 038 576    9 054 162     0.75
+
+At K/r = 3.61 the bordered factor stores more entries on every system,
+and on the adaptive ex1 meshes of that ratio it took 0.94-1.31 times
+the dense time; on the 17 adaptive U-shape meshes (N = 97, r = 390,
+K/r from 0.56 to 2.9) it took 1.03-11.5 times the dense time.  From
+K/r = 4.06 on, every measured system stored fewer entries and factored
+faster bordered, hence _BORDER_FROM = 4.
+
+A is complex symmetric (A = A^T, not Hermitian): every volume term is
+symmetric, and D inherits symmetry from M_{-n} = M_n^T together with
+W_{-n} = conj(W_n).  F is not symmetric, but its pattern is.
+
+solve() factors F, which is A itself in the dense form, pads the
+right-hand side with r zeros and keeps the first n entries; residuals
+and refinement are taken on A.  It exploits the symmetric pattern:
+SuperLU orders the columns by minimum degree on F^T + F, and symmetric
+mode builds the elimination tree from F^T + F as well, the graph that
+was ordered, and prefers diagonal pivots.  At 131 k free DoF, in the
+dense form, this stores 20 M LU entries where the default COLAMD
+ordering stores 50 M.
 
 relax=1 turns off SuperLU's relaxed supernodes.  By default SuperLU
 merges small subtrees of the elimination tree into supernodes and stores
@@ -104,6 +143,9 @@ TWO_PI = 2.0 * math.pi
 _PIVOT_THRESH = 0.01
 _REFINE_ABOVE = 1e-13
 _REFINE_STEPS = 3
+# assemble(): the DtN coupling of K outer DOFs through r = 2(2N+1) modal
+# unknowns is bordered when K >= _BORDER_FROM * r, else a dense block
+_BORDER_FROM = 4.0
 
 
 @dataclass(frozen=True)
@@ -197,11 +239,34 @@ class SolutionField:
         )
 
 
+@dataclass(frozen=True)
+class BorderedMatrix:
+    """The n x n system matrix A = V - 2 pi R B^H M B, held as the bordered
+    matrix F = [[V, -2 pi R B^H M], [B, -I]] of order n + r, whose Schur
+    complement it is: F [x; B x] = [A x; 0]."""
+
+    F: sp.csc_matrix
+    n: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
+    def nnz(self) -> int:
+        return self.F.nnz
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # F [x; 0] = [V x; B x], then F [x; B x] = [A x; 0]
+        Bx = (self.F @ np.concatenate([x, np.zeros(self.F.shape[0] - self.n)]))[self.n:]
+        return (self.F @ np.concatenate([x, Bx]))[: self.n]
+
+
 @dataclass
 class LinearSystem:
     """Reduced system over the free (non-Dirichlet) DOFs."""
 
-    matrix: sp.csc_matrix
+    matrix: sp.csc_matrix | BorderedMatrix
     rhs: np.ndarray
     free_dofs: np.ndarray
     dirichlet_dofs: np.ndarray
@@ -338,23 +403,45 @@ def assemble(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum) -> Linear
     rhs = np.zeros(n, dtype=np.complex128)
     np.add.at(rhs, f_t[on_free], -lift[on_free])
 
-    # V with its duplicates summed, then its triplets next to those of -D
+    # V with its duplicates summed, then its triplets next to those of the
+    # DtN coupling: -D on the K x K outer positions, or the border of F
     V = sp.coo_matrix(_volume_triplets(el, fdof), shape=(n, n))
     del el
     V = V.tocsc().tocoo()
-    ddofs, D = dtn_block(mesh, spectrum)
-    d = free_index[ddofs]
-    m, K = V.nnz, len(d)
-    data = np.empty(m + K * K, dtype=np.complex128)
-    rows = np.empty(m + K * K, dtype=np.int32)
-    cols = np.empty(m + K * K, dtype=np.int32)
+    dofs, B = outer_mode_basis(mesh, spectrum.mode_numbers())
+    d = free_index[dofs]
+    m, K, r = V.nnz, len(d), 2 * len(B)
+    bordered = K >= _BORDER_FROM * r
+    if not bordered:  # before the triplet arrays: a lower peak RSS
+        _, D = dtn_block(mesh, spectrum)
+    size, extra = (n + r, 2 * K * r + r) if bordered else (n, K * K)
+    data = np.empty(m + extra, dtype=np.complex128)
+    rows = np.empty(m + extra, dtype=np.int32)
+    cols = np.empty(m + extra, dtype=np.int32)
     data[:m], rows[:m], cols[:m] = V.data, V.row, V.col
-    np.negative(D, out=data[m:].reshape(K, K))
-    rows[m:].reshape(K, K)[:] = d[:, None]
-    cols[m:].reshape(K, K)[:] = d[None, :]
-    del V, D
-    A = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
-    return LinearSystem(A, rhs, free, dir_dofs, g, mesh, config)
+    if bordered:
+        modal = np.arange(n, size, dtype=np.int32)
+        top, left = slice(m, m + K * r), slice(m + K * r, m + 2 * K * r)
+        # -2 pi R B^H M in the outer rows, B in the outer columns, -I
+        np.einsum("mbk,mba->kma", np.conj(B), spectrum.matrix_stack(),
+                  out=data[top].reshape(K, -1, 2))
+        data[top] *= -TWO_PI * spectrum.radius
+        rows[top].reshape(K, r)[:] = d[:, None]
+        cols[top].reshape(K, r)[:] = modal[None, :]
+        data[left] = B.ravel()
+        rows[left].reshape(r, K)[:] = modal[:, None]
+        cols[left].reshape(r, K)[:] = d[None, :]
+        data[m + 2 * K * r:] = -1.0
+        rows[m + 2 * K * r:] = cols[m + 2 * K * r:] = modal
+    else:
+        np.negative(D, out=data[m:].reshape(K, K))
+        rows[m:].reshape(K, K)[:] = d[:, None]
+        cols[m:].reshape(K, K)[:] = d[None, :]
+        del D
+    del V
+    A = sp.csc_matrix((data, (rows, cols)), shape=(size, size))
+    matrix = BorderedMatrix(A, n) if bordered else A
+    return LinearSystem(matrix, rhs, free, dir_dofs, g, mesh, config)
 
 
 def solve(system: LinearSystem) -> SolutionField:
@@ -362,15 +449,24 @@ def solve(system: LinearSystem) -> SolutionField:
     relative residual exceeds _REFINE_ABOVE; the final one must not exceed
     1e-10."""
     A, b = system.matrix, system.rhs
+    F = A.F if isinstance(A, BorderedMatrix) else A
+    n = len(b)
+
+    def inverse(v):
+        # A^{-1} v: the first n entries of F^{-1} [v; 0].  The padded copy
+        # is made per call: one made before the factor and kept across it
+        # raised the peak RSS of the U-shape runs by about 15 MB.
+        return lu.solve(np.concatenate([v, np.zeros(F.shape[0] - n)]))[:n]
+
     try:
         lu = spla.splu(
-            A,
+            F,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=_PIVOT_THRESH,
             options=dict(SymmetricMode=True),
             relax=1,
         )
-        x = lu.solve(b)
+        x = inverse(b)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystem(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -381,7 +477,7 @@ def solve(system: LinearSystem) -> SolutionField:
     for _ in range(_REFINE_STEPS):
         if rel <= _REFINE_ABOVE:
             break
-        x += lu.solve(r)
+        x += inverse(r)
         r = b - A @ x
         rel = np.linalg.norm(r) / bnorm
     if not rel <= 1e-10:

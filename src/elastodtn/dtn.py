@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyBoundary, InvalidParameter, InvalidRadii
+from .errors import EmptyBoundary, InvalidParameter, InvalidRadii, OrderCapExceeded
 from .mesh import Mesh, format_rows
-from .specfun import ModeScalars, mode_scalar_arrays
+from .specfun import MAX_ORDER, ModeScalars, mode_scalar_arrays
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,7 +162,18 @@ def outer_mode_basis(mesh: Mesh, ns: np.ndarray):
     """The trace map of the outer circle: (dofs, B) with B of shape
     (len(ns), 2, 2K) sending the Cartesian values at the K outer nodes,
     ``values.ravel()[dofs]``, to the polar coefficient pair of each mode,
-    u_hat = B @ values.ravel()[dofs]."""
+    u_hat = B @ values.ravel()[dofs].
+
+    The map is built once per mesh and mode set and kept, read-only, in
+    ``mesh.trace_maps``, so assembly and the estimator share it."""
+    ns = np.asarray(ns)
+    key = (ns.dtype.str, ns.tobytes())
+    if key not in mesh.trace_maps:
+        mesh.trace_maps[key] = _outer_mode_basis(mesh, ns)
+    return mesh.trace_maps[key]
+
+
+def _outer_mode_basis(mesh: Mesh, ns: np.ndarray):
     idx, th = mesh.outer_vertex_order()
     W = mode_weights(th, ns)
     c, s = np.cos(th), np.sin(th)
@@ -173,6 +184,8 @@ def outer_mode_basis(mesh: Mesh, ns: np.ndarray):
     rot[:, 1, 1] = c
     B = np.einsum("mj,jab->majb", W, rot).reshape(len(ns), 2, 2 * len(idx))
     dofs = np.column_stack([2 * idx, 2 * idx + 1]).ravel()
+    dofs.setflags(write=False)
+    B.setflags(write=False)
     return dofs, B
 
 
@@ -244,9 +257,19 @@ def truncation_error(N: int, R_hat: float, R: float, u_inc_h1: float) -> float:
 def select_truncation(
     R_hat: float, R: float, u_inc_h1: float, tolerance: float = 1e-8
 ) -> int:
-    """Smallest N >= 0 with truncation_error(N) <= tolerance."""
+    """Smallest N >= 0 with truncation_error(N) <= tolerance.
+
+    Raises OrderCapExceeded when even N = MAX_ORDER (1024) misses the
+    tolerance; truncation_error does not increase with N, so that one
+    evaluation decides it.
+    """
     if not tolerance > 0.0:
         raise InvalidParameter("tolerance must be positive")
+    if truncation_error(MAX_ORDER, R_hat, R, u_inc_h1) > tolerance:
+        raise OrderCapExceeded(
+            f"truncation error above {tolerance:g} for every order up to the "
+            f"supported maximum {MAX_ORDER} (R_hat/R = {R_hat:g}/{R:g})"
+        )
     N = 0
     while truncation_error(N, R_hat, R, u_inc_h1) > tolerance:
         N += 1

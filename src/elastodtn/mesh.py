@@ -63,6 +63,8 @@ class Mesh:
     edge_tags: np.ndarray = field(init=False, repr=False)
     tri_edges: np.ndarray = field(init=False, repr=False)
     edge_tris: np.ndarray = field(init=False, repr=False)
+    # outer-circle trace maps by mode set, filled by dtn.outer_mode_basis
+    trace_maps: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)

@@ -58,7 +58,7 @@ from .errors import (DegenerateMode, InvalidParameter, NonPositiveArgument,
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310421
 
-_MAX_ORDER = 1024
+MAX_ORDER = 1024
 _RESCALE = 1e250
 # _jy01_into: Hankel's expansion from _ASYMPTOTIC_SWITCH on, with at most
 # _ASYMPTOTIC_TERMS terms and a first omitted term below _ASYMPTOTIC_TOL;
@@ -172,8 +172,8 @@ def _hankel_ratios(m_max: int, z: float) -> np.ndarray:
 
 
 def _check_cap(n: int) -> None:
-    if n > _MAX_ORDER:
-        raise OrderCapExceeded(f"order {n} exceeds the supported maximum {_MAX_ORDER}")
+    if n > MAX_ORDER:
+        raise OrderCapExceeded(f"order {n} exceeds the supported maximum {MAX_ORDER}")
 
 
 def _orders(ms) -> np.ndarray:

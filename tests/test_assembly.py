@@ -411,6 +411,101 @@ class TestSolve:
         assert residual <= 1e-13 * np.linalg.norm(system.rhs)
 
 
+def _forced(monkeypatch, form):
+    """Make assemble() take one form of the DtN coupling whatever K / r."""
+    monkeypatch.setattr(assembly, "_BORDER_FROM", math.inf if form == "dense" else 0.0)
+
+
+def _levels(levels):
+    mesh = example1_mesh()
+    for _ in range(levels):
+        mesh = refine_all(mesh)
+    return mesh
+
+
+class TestBorderedCoupling:
+    """assemble() couples the K outer DOFs through r = 2(2N+1) bordered
+    modal unknowns when K >= _BORDER_FROM * r, and as a dense K x K block
+    otherwise.  Both forms are the same operator A."""
+
+    CASES = {  # example, uniform levels, N; K / r
+        "ex2-start": (2, 0, None),  # 0.56 (K = 220, r = 390)
+        "ex1-level2": (1, 2, 35),  # 3.6
+        "ex1-level3": (1, 3, 35),  # 7.2
+    }
+
+    @staticmethod
+    def _case(name):
+        example, levels, N = TestBorderedCoupling.CASES[name]
+        if example == 2:
+            return example2_config(), example2_mesh()
+        return example1_config(N=N), _levels(levels)
+
+    @staticmethod
+    def _solve(monkeypatch, form, cfg, mesh):
+        _forced(monkeypatch, form)
+        system = assemble(mesh, cfg, build_spectrum(cfg))
+        return system, solve(system).values.ravel()[system.free_dofs]
+
+    @pytest.mark.parametrize("omega", [math.pi, 50.0], ids=["pi", "omega50"])
+    @pytest.mark.parametrize("levels, N", [(3, 35), (2, 4)], ids=["level3-N35", "level2-N4"])
+    def test_forms_agree(self, monkeypatch, levels, N, omega):
+        cfg, mesh = example1_config(omega=omega, N=N), _levels(levels)
+        _, x_dense = self._solve(monkeypatch, "dense", cfg, mesh)
+        system, x_bordered = self._solve(monkeypatch, "bordered", cfg, mesh)
+        assert isinstance(system.matrix, assembly.BorderedMatrix)
+        assert np.linalg.norm(x_bordered - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+
+    def test_galerkin_orthogonality_of_a_bordered_solve(self, monkeypatch):
+        cfg = example1_config()
+        mesh = example1_mesh(32, 2)
+        spectrum = build_spectrum(cfg)
+        _forced(monkeypatch, "bordered")
+        system = assemble(mesh, cfg, spectrum)
+        assert isinstance(system.matrix, assembly.BorderedMatrix)
+        r = residual_vector(solve(system), spectrum).reshape(-1, 2)
+        obstacle = mesh.vertex_tags == OBSTACLE
+        assert np.abs(r[~obstacle]).max() <= 1e-9 * np.abs(r[obstacle]).max()
+
+    def test_bordered_operator_is_the_dense_matrix(self, monkeypatch, rng):
+        cfg, mesh = example1_config(N=12), example1_mesh(32, 2)
+        spectrum = build_spectrum(cfg)
+        _forced(monkeypatch, "dense")
+        A = assemble(mesh, cfg, spectrum).matrix
+        _forced(monkeypatch, "bordered")
+        bordered = assemble(mesh, cfg, spectrum).matrix
+        n = A.shape[0]
+        assert bordered.shape == (n, n) and bordered.F.shape == (n + 50, n + 50)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.linalg.norm(bordered @ x - A @ x) <= 1e-13 * np.linalg.norm(A @ x)
+
+    @pytest.mark.parametrize("name, bordered", [
+        ("ex2-start", False), ("ex1-level2", False), ("ex1-level3", True),
+    ])
+    def test_form_follows_k_over_r(self, name, bordered):
+        cfg, mesh = self._case(name)
+        matrix = assemble(mesh, cfg, build_spectrum(cfg)).matrix
+        assert isinstance(matrix, assembly.BorderedMatrix) == bordered
+        if not bordered:
+            assert matrix.format == "csc"
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_chosen_form_stores_no_more_lu_entries(self, name, monkeypatch):
+        """Stored LU entries, chosen form first: 165 528 against 337 908
+        (ex2 start), 844 696 against 892 490 (ex1 level 2) and 3 665 578
+        against 4 209 200 (ex1 level 3)."""
+        cfg, mesh = self._case(name)
+        spectrum = build_spectrum(cfg)
+        factors = TestSolve._keep_factors(monkeypatch)
+        system = assemble(mesh, cfg, spectrum)
+        solve(system)
+        bordered = isinstance(system.matrix, assembly.BorderedMatrix)
+        _forced(monkeypatch, "dense" if bordered else "bordered")
+        solve(assemble(mesh, cfg, spectrum))
+        assert len(factors) == 2
+        assert factors[0].nnz <= factors[1].nnz
+
+
 class TestFreeDofAssembly:
     """assemble() writes straight into free-DoF numbering.  SuperLU's
     minimum-degree ordering depends on the stored pattern, so it must be

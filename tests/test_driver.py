@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -24,7 +25,7 @@ from elastodtn import (
 from elastodtn import driver, verify
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
 from elastodtn.dtn import spectrum_table
-from elastodtn.errors import InvalidParameter, InvalidRadii
+from elastodtn.errors import InvalidParameter, InvalidRadii, OrderCapExceeded
 from elastodtn.mesh import OBSTACLE, Mesh, generate_annulus, refine_all, save_mesh, save_triangle_scalars
 
 LOOSEST = sys.float_info.max  # a tolerance every estimate meets
@@ -507,6 +508,21 @@ class TestExample2Setup:
         assert cfg.N >= 60  # R_hat/R = 0.77 decays slowly
         assert cfg.R == 3.0 and cfg.R_hat == 2.31
 
+    def test_truncation_order_above_the_cap_fails_fast(self, monkeypatch):
+        """R_hat = 2.9999 needs an order far above 1024: the selection stops
+        at the cap within a second, called through the name the benchmark
+        tracer rebinds."""
+        calls = []
+        select = driver.select_truncation
+        monkeypatch.setattr(
+            driver, "select_truncation", lambda *a: calls.append(a) or select(*a)
+        )
+        t0 = time.process_time()
+        with pytest.raises(OrderCapExceeded, match=r"1024 \(R_hat/R = 2.9999/3\)"):
+            example2_config(R_hat=2.9999)
+        assert time.process_time() - t0 < 1.0
+        assert len(calls) == 1
+
 
 class TestTracedEntryPoints:
     """The benchmark tracer (perfbench/tracer.py) times the layers by
@@ -588,3 +604,18 @@ class TestBenchmarkInterface:
         r = np.abs(assembly.residual_vector(again, spectrum)).reshape(-1, 2)
         obstacle = m.vertex_tags == OBSTACLE
         assert np.max(r[~obstacle]) <= 1e-8 * np.max(r[obstacle])
+
+    @pytest.mark.parametrize("form", ["dense", "bordered"])
+    def test_tracer_reads_the_system_matrix(self, form, monkeypatch):
+        """The tracer's assembled and solved hooks read system.matrix.nnz
+        and the residual system.matrix @ x - system.rhs, with x the free
+        values of the solved field, whichever form assemble() chose."""
+        monkeypatch.setattr(assembly, "_BORDER_FROM", math.inf if form == "dense" else 0.0)
+        cfg = example1_config()
+        system = assembly.assemble(example1_mesh(32, 2), cfg, build_spectrum(cfg))
+        assert isinstance(system.matrix, assembly.BorderedMatrix) == (form == "bordered")
+        field = assembly.solve(system)
+        assert type(system.matrix.nnz) is int
+        x = field.values.ravel()[system.free_dofs]
+        r = np.linalg.norm(system.matrix @ x - system.rhs)
+        assert r <= 1e-10 * np.linalg.norm(system.rhs)

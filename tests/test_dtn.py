@@ -28,7 +28,7 @@ from elastodtn.dtn import (
 import scipy.special as sc
 
 from elastodtn import specfun
-from elastodtn.errors import DegenerateMode, EmptyBoundary, InvalidRadii
+from elastodtn.errors import DegenerateMode, EmptyBoundary, InvalidRadii, OrderCapExceeded
 from elastodtn.specfun import mode_scalar_arrays
 from elastodtn import example1_config, example1_mesh, example2_config, example2_mesh
 from elastodtn.mesh import OUTER, refine
@@ -449,6 +449,15 @@ class TestSelectTruncation:
         assert got == want
         assert truncation_error(got, 0.5, 1.0, 1.0) <= 1e-8
         assert truncation_error(got - 1, 0.5, 1.0, 1.0) > 1e-8
+
+    def test_order_above_the_cap_raises(self):
+        with pytest.raises(OrderCapExceeded, match=r"1e-08 .* maximum 1024 \(R_hat/R = 2.99/3\)"):
+            select_truncation(2.99, 3.0, 1.0, 1e-8)
+        # orders near the cap are still found: 1001 at q = 0.975, while
+        # q = 0.976 would need more than 1024
+        assert select_truncation(0.975, 1.0, 1.0, 1e-8) == 1001
+        with pytest.raises(OrderCapExceeded):
+            select_truncation(0.976, 1.0, 1.0, 1e-8)
 
     def test_loose_tolerance_gives_zero(self):
         eps0 = truncation_error(0, 0.5, 1.0, 1.0)

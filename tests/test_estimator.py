@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from elastodtn import (
+    adaptive_solve,
     build_spectrum,
     example1_config,
     example2_mesh,
@@ -16,8 +17,9 @@ from elastodtn import (
 )
 from elastodtn.assembly import SolutionField, incident_h1
 from elastodtn.estimator import boundary_jumps, element_residuals, interior_jumps
+from elastodtn import dtn
 from elastodtn.dtn import fourier_coefficients
-from elastodtn.mesh import OBSTACLE, OUTER
+from elastodtn.mesh import OBSTACLE, OUTER, Mesh
 from elastodtn.verify import exact_solution_example1
 
 
@@ -288,3 +290,26 @@ class TestGlobalEstimate:
         rep = global_estimate(make_field(mesh, cfg, vals), spec, u_inc_h1=1.0)
         assert len(calls) == 1
         assert np.array_equal(rep.eta, want)
+
+    def test_one_trace_map_per_iteration(self, monkeypatch):
+        """Assembly and the estimator share one outer-circle trace map per
+        mesh and mode set, and the estimate is the same to the bit as one
+        that builds its own map on a fresh copy of the mesh."""
+        calls = []
+        build = dtn._outer_mode_basis
+        monkeypatch.setattr(
+            dtn, "_outer_mode_basis", lambda mesh, ns: calls.append(mesh) or build(mesh, ns)
+        )
+        cfg = example1_config(tolerance=1e-12)
+        hist = adaptive_solve(cfg, generate_annulus(0.5, 1.0, 16, 1), max_dof=600)
+        assert len(hist.records) >= 3
+        assert len(calls) == len(hist.records) == len(set(map(id, calls)))
+
+        m = hist.field.mesh
+        fresh = Mesh(m.vertices, m.triangles, m.vertex_tags, 0,
+                     outer_radius=cfg.R, obstacle_radius=cfg.R_hat)
+        field = SolutionField(fresh, cfg, hist.field.values, hist.field.dirichlet_mask)
+        again = global_estimate(field, hist.spectrum, u_inc_h1=hist.u_inc_h1)
+        assert len(calls) == len(hist.records) + 1
+        assert np.array_equal(again.eta, hist.report.eta)
+        assert again.eps_h == hist.report.eps_h
