@@ -11,7 +11,7 @@ are closed-form for P1 (constant gradients); the mass term uses the
 tolerance enters the chain.  The DtN term couples all K outer-boundary
 DOFs through the 2N+1 modes: with B the r x K trace map of
 dtn.outer_mode_basis (r = 2(2N+1) polar coefficients) and M the block
-diagonal of the mode matrices, it is D = 2 pi R B^H M B, dense on the
+diagonal of the mode matrices, it is D = 2 pi R B^H (M B), dense on the
 outer DOFs.
 
 assemble() works in one pass in free-DoF numbering.  A map sends each
@@ -31,18 +31,20 @@ DoF) lexicographically moves the nonzeros of L + U from 1.25 M to
 1.17 M.  Dropping the explicit zeros moved the stored LU entries by
 -3.5 % to +1.8 % over the systems of the benchmark runs.
 
-The DtN coupling takes one of two forms, chosen from K and r.  When
-K < _BORDER_FROM * r, the system matrix A = V - D is one CSC matrix with
-D as a dense K x K block.  Otherwise assemble() stores the bordered
-matrix F = [[V, -2 pi R B^H M], [B, -I]] of order n + r, with 2 K r + r
-coupling entries instead of K^2.  A is its Schur complement on the n
-free DOFs, so F [x; y] = [b; 0] gives A x = b, and LinearSystem.matrix
-is a BorderedMatrix that applies A through F.  The modal unknowns couple
-every outer DOF, so the bordered factor pays off only once K is large
-against r.  Factors of both forms on example 1 (N = 35, r = 142; the
-annulus of s segments and L layers refined twice, and s = 64 three
-times), stored LU entries and the bordered/dense ratio of the factor
-time (one thread, minimum of 3; tools/coupling_crossover.py):
+The DtN coupling takes one of two forms, chosen from K and r; assemble()
+builds both from B^H and M B, contracting M B once.  When
+K < _BORDER_FROM * r, the system matrix A = V - D is one CSC matrix, with
+the K x K product of the two written straight into the triplet array.
+Otherwise assemble() stores the bordered matrix F = [[V, -2 pi R B^H],
+[M B, -I]] of order n + r, with 2 K r + r coupling entries instead of K^2.
+A is its Schur complement on the n free DOFs: F [x; y] = [b; 0] gives
+A x = b, with y = M B x the traction modes, and LinearSystem.matrix is a
+BorderedMatrix that applies A through F.  The modal unknowns couple every
+outer DOF, so the bordered factor pays off only once K is large against r.
+Factors of both forms on example 1 (N = 35, r = 142; the annulus of s
+segments and L layers refined twice, and s = 64 three times), stored LU
+entries and the bordered/dense ratio of the factor time (one thread,
+minimum of 3; tools/coupling_crossover.py):
 
     K/r   s    L   free DoF   LU dense    LU bordered  time ratio
     3.61  64   4     8 192       844 696      892 490     0.77
@@ -119,6 +121,7 @@ make no extra step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -130,12 +133,13 @@ from .dtn import DtnSpectrum, outer_mode_basis
 from .errors import (
     InvalidParameter,
     InvalidRadii,
+    OrderCapExceeded,
     OriginEvaluation,
     SingularSystem,
     ThetaOutOfRange,
 )
 from .mesh import OBSTACLE, Mesh, format_rows
-from .specfun import hankel01
+from .specfun import MAX_ORDER, hankel01
 
 TWO_PI = 2.0 * math.pi
 # solve(): SuperLU's diagonal pivot threshold, and the relative residual
@@ -196,6 +200,13 @@ class ProblemConfig:
             raise InvalidParameter("need omega > 0")
         if not (0.0 < self.R_hat < self.R):
             raise InvalidRadii(f"need 0 < R_hat < R, got R_hat={self.R_hat}, R={self.R}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise InvalidParameter(f"truncation order N must be an integer, got {self.N!r}")
+        if self.N < 0:
+            raise InvalidParameter("truncation order N must be nonnegative")
+        if self.N > MAX_ORDER:
+            raise OrderCapExceeded(f"order {self.N} exceeds the supported maximum "
+                                   f"{MAX_ORDER} of the truncation order N")
         if not (0.0 < self.theta_mark < 1.0):
             raise ThetaOutOfRange(f"theta must lie in (0, 1), got {self.theta_mark}")
         if not self.tolerance > 0.0:
@@ -242,8 +253,8 @@ class SolutionField:
 @dataclass(frozen=True)
 class BorderedMatrix:
     """The n x n system matrix A = V - 2 pi R B^H M B, held as the bordered
-    matrix F = [[V, -2 pi R B^H M], [B, -I]] of order n + r, whose Schur
-    complement it is: F [x; B x] = [A x; 0]."""
+    matrix F = [[V, -2 pi R B^H], [M B, -I]] of order n + r, whose Schur
+    complement it is: F [x; M B x] = [A x; 0]."""
 
     F: sp.csc_matrix
     n: int
@@ -257,9 +268,9 @@ class BorderedMatrix:
         return self.F.nnz
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        # F [x; 0] = [V x; B x], then F [x; B x] = [A x; 0]
-        Bx = (self.F @ np.concatenate([x, np.zeros(self.F.shape[0] - self.n)]))[self.n:]
-        return (self.F @ np.concatenate([x, Bx]))[: self.n]
+        # F [x; 0] = [V x; M B x], then F [x; M B x] = [A x; 0]
+        MBx = (self.F @ np.concatenate([x, np.zeros(self.F.shape[0] - self.n)]))[self.n:]
+        return (self.F @ np.concatenate([x, MBx]))[: self.n]
 
 
 @dataclass
@@ -310,11 +321,6 @@ def incident_h1(config: ProblemConfig, mesh: Mesh) -> float:
 # -- P1 building blocks ----------------------------------------------------
 
 
-def _mass3(areas: np.ndarray) -> np.ndarray:
-    # 3-point midpoint rule, exact for degree 2; equals (A/12)(1 + delta_ij)
-    return (areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-
-
 def element_matrices(mesh: Mesh, config: ProblemConfig) -> np.ndarray:
     """(T, 6, 6) complex element matrices of the volume part of b_N.
 
@@ -323,7 +329,8 @@ def element_matrices(mesh: Mesh, config: ProblemConfig) -> np.ndarray:
     areas, grads = mesh.areas, mesh.gradients
     T = len(areas)
     gg = np.einsum("tik,tjk->tij", grads, grads)
-    m3 = _mass3(areas)
+    # the 3-point midpoint rule, exact for degree 2, gives (A/12)(1 + delta_ij)
+    m3 = (areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
     scalar3 = config.mu * areas[:, None, None] * gg - config.omega**2 * m3
     out = np.zeros((T, 6, 6), dtype=np.complex128)
     out[:, 0::2, 0::2] = scalar3
@@ -333,15 +340,6 @@ def element_matrices(mesh: Mesh, config: ProblemConfig) -> np.ndarray:
     )
     out += div.reshape(T, 6, 6)
     return out
-
-
-def dtn_block(mesh: Mesh, spectrum: DtnSpectrum):
-    """(outer DOF indices, dense matrix D) with v^H D u = int T_N u . conj(v) ds."""
-    dofs, B = outer_mode_basis(mesh, spectrum.mode_numbers())
-    MB = np.einsum("mab,mbk->mak", spectrum.matrix_stack(), B)
-    K = B.shape[2]
-    D = TWO_PI * spectrum.radius * (np.conj(B).reshape(-1, K).T @ MB.reshape(-1, K))
-    return dofs, D
 
 
 def check_consistent(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum):
@@ -412,33 +410,34 @@ def assemble(mesh: Mesh, config: ProblemConfig, spectrum: DtnSpectrum) -> Linear
     d = free_index[dofs]
     m, K, r = V.nnz, len(d), 2 * len(B)
     bordered = K >= _BORDER_FROM * r
-    if not bordered:  # before the triplet arrays: a lower peak RSS
-        _, D = dtn_block(mesh, spectrum)
     size, extra = (n + r, 2 * K * r + r) if bordered else (n, K * K)
     data = np.empty(m + extra, dtype=np.complex128)
     rows = np.empty(m + extra, dtype=np.int32)
     cols = np.empty(m + extra, dtype=np.int32)
     data[:m], rows[:m], cols[:m] = V.data, V.row, V.col
+    del V  # copied: freed before the factors below are formed (a lower peak RSS)
+    # the two factors of D = 2 pi R B^H (M B): M B (r x K) and B^H (K x r)
+    MB = np.einsum("mab,mbk->mak", spectrum.matrix_stack(), B).reshape(r, K)
+    BH = np.conj(B).reshape(r, K).T
     if bordered:
         modal = np.arange(n, size, dtype=np.int32)
         top, left = slice(m, m + K * r), slice(m + K * r, m + 2 * K * r)
-        # -2 pi R B^H M in the outer rows, B in the outer columns, -I
-        np.einsum("mbk,mba->kma", np.conj(B), spectrum.matrix_stack(),
-                  out=data[top].reshape(K, -1, 2))
-        data[top] *= -TWO_PI * spectrum.radius
+        # -2 pi R B^H in the outer rows, M B in the outer columns, -I
+        np.multiply(BH, -TWO_PI * spectrum.radius, out=data[top].reshape(K, r))
         rows[top].reshape(K, r)[:] = d[:, None]
         cols[top].reshape(K, r)[:] = modal[None, :]
-        data[left] = B.ravel()
+        data[left] = MB.ravel()
         rows[left].reshape(r, K)[:] = modal[:, None]
         cols[left].reshape(r, K)[:] = d[None, :]
         data[m + 2 * K * r:] = -1.0
         rows[m + 2 * K * r:] = cols[m + 2 * K * r:] = modal
     else:
-        np.negative(D, out=data[m:].reshape(K, K))
+        block = data[m:].reshape(K, K)
+        np.matmul(BH, MB, out=block)
+        block *= -TWO_PI * spectrum.radius
         rows[m:].reshape(K, K)[:] = d[:, None]
         cols[m:].reshape(K, K)[:] = d[None, :]
-        del D
-    del V
+    del MB, BH
     A = sp.csc_matrix((data, (rows, cols)), shape=(size, size))
     matrix = BorderedMatrix(A, n) if bordered else A
     return LinearSystem(matrix, rhs, free, dir_dofs, g, mesh, config)
@@ -485,8 +484,7 @@ def solve(system: LinearSystem) -> SolutionField:
     full = np.zeros(2 * len(system.mesh.vertices), dtype=np.complex128)
     full[system.free_dofs] = x
     full[system.dirichlet_dofs] = system.dirichlet_values
-    mask = np.zeros(len(system.mesh.vertices), dtype=bool)
-    mask[system.dirichlet_dofs[::2] // 2] = True
+    mask = system.mesh.vertex_tags == OBSTACLE
     return SolutionField(system.mesh, system.config, full.reshape(-1, 2), mask)
 
 

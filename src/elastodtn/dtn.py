@@ -15,8 +15,8 @@ per boundary arc: the trace is piecewise linear in the angle, and
 ``int u(theta) exp(-i n theta) dtheta`` has an elementary antiderivative,
 so no quadrature tolerance enters the operator.  ``outer_mode_basis`` is
 the one map from the nodal values on the outer circle to those
-coefficients; the dense DtN block, the Galerkin residual and the
-estimator's outer-edge jumps all read it.
+coefficients; assembly's DtN coupling (B^H and M B, in either form),
+the Galerkin residual and the estimator's outer-edge jumps all read it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyBoundary, InvalidParameter, InvalidRadii, OrderCapExceeded
+from .errors import (EmptyBoundary, InvalidParameter, InvalidRadii, OrderCapExceeded,
+                     OverflowRegime)
 from .mesh import Mesh, format_rows
 from .specfun import MAX_ORDER, ModeScalars, mode_scalar_arrays
 
@@ -88,17 +89,23 @@ def build_spectrum(config) -> DtnSpectrum:
     config is a ProblemConfig (omega, lam, mu, R, N and the wavenumbers
     kappa1, kappa2).  The scalars depend on |n| only: one Hankel ratio
     recurrence per wavenumber gives them for every m <= N, and each M_n
-    reads the scalars of |n|.
+    reads the scalars of |n|.  Raises OverflowRegime, naming omega, where
+    a scalar, omega^2 or an entry of M is not a finite normal double.
     """
-    N = int(config.N)
-    if N < 0:
-        raise InvalidParameter("truncation order N must be nonnegative")
+    N = config.N
     omega, lam, mu, R = config.omega, config.lam, config.mu, config.R
     kappa1, kappa2 = config.kappa1, config.kappa2
-    a1, a2, lambda_n = mode_scalar_arrays(np.arange(N + 1), kappa1, kappa2, R)
+    try:
+        a1, a2, lambda_n = mode_scalar_arrays(np.arange(N + 1), kappa1, kappa2, R)
+    except (InvalidParameter, OverflowRegime) as exc:  # out of range: name omega
+        raise type(exc)(f"omega = {omega:g}: {exc}") from None
     ns = np.arange(-N, N + 1)
     m = np.abs(ns)
-    M = _mode_matrices(ns, a1[m], a2[m], lambda_n[m], omega, mu, R)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        M = _mode_matrices(ns, a1[m], a2[m], lambda_n[m], omega, mu, R)
+    if not (np.isfinite(M).all() and omega * omega >= np.finfo(np.float64).tiny):
+        raise OverflowRegime(f"the mode matrices at omega = {omega:g} are not "
+                             f"representable in double precision")
     for a in (M, a1, a2, lambda_n):
         a.flags.writeable = False
     return DtnSpectrum(N, R, omega, lam, mu, kappa1, kappa2, M, a1, a2, lambda_n)

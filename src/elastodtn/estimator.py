@@ -58,8 +58,7 @@ def interior_jumps(field: SolutionField) -> np.ndarray:
     c = field.config
     G = field.jacobians
     div = G[:, 0, 0] + G[:, 1, 1]
-    E = len(mesh.edges)
-    out = np.zeros((E, 2), dtype=np.complex128)
+    out = np.zeros((len(mesh.edges), 2), dtype=np.complex128)
     interior = mesh.edge_tris[:, 1] >= 0
     t1 = mesh.edge_tris[interior, 0]
     t2 = mesh.edge_tris[interior, 1]
@@ -69,7 +68,7 @@ def interior_jumps(field: SolutionField) -> np.ndarray:
     ends = mesh.vertices[mesh.edges[interior]]
     tang = ends[:, 1] - ends[:, 0]
     nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    nu /= np.linalg.norm(nu, axis=1)[:, None]
+    nu /= mesh.edge_lengths[interior][:, None]
 
     dG = G[t1] - G[t2]
     ddiv = div[t1] - div[t2]
@@ -99,8 +98,7 @@ def boundary_jumps(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     """
     mesh = field.mesh
     c = field.config
-    E = len(mesh.edges)
-    out = np.zeros(E)
+    out = np.zeros(len(mesh.edges))
     outer_ids = np.flatnonzero(mesh.edge_tags == OUTER)
     if outer_ids.size == 0:
         return out
@@ -123,9 +121,8 @@ def boundary_jumps(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
     t_adj = mesh.edge_tris[outer_ids, 0]
     G = field.jacobians[t_adj]
     div = G[:, 0, 0] + G[:, 1, 1]
-    traction = c.mu * np.einsum("eab,eqb->eqa", G, er) + (
-        c.lam + c.mu
-    ) * div[:, None, None] * er
+    traction = (c.mu * np.einsum("eab,eqb->eqa", G, er)
+                + (c.lam + c.mu) * div[:, None, None] * er)
 
     J = 2.0 * (tn_cart - traction)
     sq = np.sum(np.abs(J) ** 2, axis=2)

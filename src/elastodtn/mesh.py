@@ -125,14 +125,12 @@ class Mesh:
         if np.any(self.areas <= 0.0):
             k = int(np.argmax(self.areas <= 0.0))
             raise OrientationError(f"triangle {k} is not counterclockwise")
-        if self.outer_radius > 0.0:
-            r = np.linalg.norm(self.vertices[self.vertex_tags == OUTER], axis=1)
-            if r.size and np.max(np.abs(r - self.outer_radius)) > _CIRCLE_RTOL * self.outer_radius:
-                raise NonConforming("an outer vertex is off the circle r = R")
-        if self.obstacle_radius is not None:
-            r = np.linalg.norm(self.vertices[self.vertex_tags == OBSTACLE], axis=1)
-            if r.size and np.max(np.abs(r - self.obstacle_radius)) > _CIRCLE_RTOL * self.obstacle_radius:
-                raise NonConforming("an obstacle vertex is off the circle r = R_hat")
+        for radius, tag, name, symbol in ((self.outer_radius, OUTER, "outer", "R"),
+                                          (self.obstacle_radius, OBSTACLE, "obstacle", "R_hat")):
+            if radius:  # an outer radius of 0 or no obstacle radius: not a circle
+                r = np.linalg.norm(self.vertices[self.vertex_tags == tag], axis=1)
+                if r.size and np.max(np.abs(r - radius)) > _CIRCLE_RTOL * radius:
+                    raise NonConforming(f"an {name} vertex is off the circle r = {symbol}")
 
     # -- P1 geometry -------------------------------------------------
 
@@ -222,11 +220,7 @@ def _peak_first(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
     is_max = L == L.max(axis=1, keepdims=True)
     candidates = np.where(is_max, tris, np.iinfo(np.int64).max)
     peak = np.argmin(candidates, axis=1)
-    rows = np.arange(len(tris))
-    return np.stack(
-        [tris[rows, peak], tris[rows, (peak + 1) % 3], tris[rows, (peak + 2) % 3]],
-        axis=1,
-    )
+    return np.take_along_axis(tris, (peak[:, None] + np.arange(3)) % 3, axis=1)
 
 
 def generate_annulus(
@@ -316,15 +310,11 @@ def _midpoints(mesh: Mesh, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray
         mesh.vertices[mesh.edges[edge_ids, 0]] + mesh.vertices[mesh.edges[edge_ids, 1]]
     )
     tags = mesh.edge_tags[edge_ids].copy()
-    on_outer = tags == OUTER
-    if on_outer.any():
-        r = np.linalg.norm(p[on_outer], axis=1)
-        p[on_outer] *= (mesh.outer_radius / r)[:, None]
-    if mesh.obstacle_radius is not None:
-        on_obs = tags == OBSTACLE
-        if on_obs.any():
-            r = np.linalg.norm(p[on_obs], axis=1)
-            p[on_obs] *= (mesh.obstacle_radius / r)[:, None]
+    for tag, radius in ((OUTER, mesh.outer_radius), (OBSTACLE, mesh.obstacle_radius)):
+        on = tags == tag
+        if radius is not None and on.any():
+            r = np.linalg.norm(p[on], axis=1)
+            p[on] *= (radius / r)[:, None]
     return p, tags
 
 
@@ -381,14 +371,8 @@ def _split(mesh: Mesh, edge_marked: np.ndarray) -> Mesh:
         (bisect & ~s1, rest, (m0, v2, v0)),
     ):
         new_tris[at[case]] = np.column_stack([c[case] for c in child])
-    return Mesh(
-        vertices,
-        new_tris,
-        tags,
-        mesh.generation + 1,
-        outer_radius=mesh.outer_radius,
-        obstacle_radius=mesh.obstacle_radius,
-    )
+    return Mesh(vertices, new_tris, tags, mesh.generation + 1,
+                outer_radius=mesh.outer_radius, obstacle_radius=mesh.obstacle_radius)
 
 
 # -- text format ----------------------------------------------------------
@@ -477,15 +461,8 @@ def load_mesh(path) -> Mesh:
         raise ParseError(
             f"{path}: no outer-tagged vertices, or they are not on a common circle"
         )
-    obstacle_r = _common_radius(vertices, tags, OBSTACLE)
-    return Mesh(
-        vertices,
-        _peak_first(vertices, tris),
-        tags,
-        0,
-        outer_radius=outer_r,
-        obstacle_radius=obstacle_r,
-    )
+    return Mesh(vertices, _peak_first(vertices, tris), tags, 0, outer_radius=outer_r,
+                obstacle_radius=_common_radius(vertices, tags, OBSTACLE))
 
 
 def _common_radius(vertices, tags, which) -> float | None:

@@ -70,6 +70,10 @@ _ASYMPTOTIC_TOL = 1e-18
 _MILLER_TOL = 1e-17
 _MILLER_MARGIN = 4
 _CHUNK = 1 << 16
+# hankel01's domain, which keeps the kernels' 2n/z (n <= 66) and pi z far
+# from overflow
+_Z_MIN, _Z_MAX = 1e-300, 1e300
+_TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class ModeScalars:
@@ -105,10 +109,13 @@ def _miller_j(n_hi: int, z: float) -> np.ndarray:
     start = _miller_start(n_hi, z)
     f = np.zeros(start + 2)
     f[start] = 1e-300
+    # a step grows |f| at most 1 + 2 start / z times, so one that ends
+    # below limit cannot overflow in the next
+    limit = _RESCALE / (1.0 + 2.0 * start / z)
     for n in range(start, 0, -1):
         f[n - 1] = (2.0 * n / z) * f[n] - f[n + 1]
-        if abs(f[n - 1]) > _RESCALE:
-            f *= 1.0 / _RESCALE
+        if abs(f[n - 1]) > limit:
+            f *= 2.0 ** -math.frexp(f[n - 1])[1]
     s = f[0] + 2.0 * f[2::2].sum()
     return f[: n_hi + 1] / s
 
@@ -192,23 +199,32 @@ def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
     beta_j - m/r and Lambda = (m/r)(beta_1 + beta_2) - beta_1 beta_2, which
     does not cancel where (m/r)^2 - alpha_1 alpha_2 would (m >> kappa r).
     Raises InvalidParameter for an empty, non-integer or negative order,
-    OrderCapExceeded above order 1024, and DegenerateMode if any |Lambda|
-    is below 1e-14 times the sum of its two terms' moduli (that mode
-    matrix would be singular; an exceptional frequency/radius pair)."""
+    OrderCapExceeded above order 1024, OverflowRegime if a beta_j or
+    Lambda is not a normal double (none is zero, so a subnormal, zero or
+    non-finite value has lost its digits), and DegenerateMode if any
+    |Lambda| is below 1e-14 times the sum of its two terms' moduli (that
+    mode matrix would be singular; an exceptional frequency/radius pair)."""
     if not (0.0 < kappa1 < kappa2):
         raise InvalidParameter("wavenumbers must satisfy 0 < kappa1 < kappa2")
     if not radius > 0.0:
         raise NonPositiveArgument("radius must be positive")
     ms = _orders(ms)
-    b1, b2 = (k * _hankel_ratios(int(ms.max()), k * radius)[ms] for k in (kappa1, kappa2))
-    angular = ms / radius
-    cross, product = angular * (b1 + b2), b1 * b2
-    lam = cross - product
-    bad = np.flatnonzero(np.abs(lam) < 1e-14 * (np.abs(cross) + np.abs(product)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        b1, b2 = (k * _hankel_ratios(int(ms.max()), k * radius)[ms] for k in (kappa1, kappa2))
+        angular = ms / radius
+        cross, product = angular * (b1 + b2), b1 * b2
+        lam = cross - product
+        bad = np.flatnonzero(np.abs(lam) < 1e-14 * (np.abs(cross) + np.abs(product)))
+        if bad.size:
+            k = bad[0]
+            raise DegenerateMode(f"Lambda_{ms[k]} = {complex(lam[k])} is numerically "
+                                 f"singular at radius {radius}")
+        size = np.abs(np.stack([b1, b2, lam]))
+    bad = np.flatnonzero(~((size >= _TINY) & (size < np.inf)).all(axis=0))  # NaN fails both
     if bad.size:
-        k = bad[0]
-        raise DegenerateMode(f"Lambda_{ms[k]} = {complex(lam[k])} is numerically "
-                             f"singular at radius {radius}")
+        raise OverflowRegime(
+            f"the scattering scalars of order {ms[bad[0]]} are not normal doubles "
+            f"at kappa1 = {kappa1:g}, kappa2 = {kappa2:g}, radius = {radius:g}")
     return b1 - angular, b2 - angular, lam
 
 
@@ -322,9 +338,12 @@ def _jy01_miller(z: np.ndarray):
     start = _jy01_start(float(z.max()))
     seed = 1e-300
     # |F_{n-1}| <= (1 + 2n/z) max(|F_n|, |F_{n+1}|): where the product of
-    # these factors keeps the seed below _RESCALE, no step can rescale
+    # these factors keeps the seed below _RESCALE, no step can rescale;
+    # elsewhere a point whose |F_{n-1}| passes limit, from which no step
+    # can overflow, is scaled by a power of two, exactly, to [0.5, 1)
     growth = np.log1p(2.0 * np.arange(1, start + 1) / z.min()).sum()
     may_rescale = math.log(seed) + growth > math.log(_RESCALE)
+    limit = _RESCALE / (1.0 + 2.0 * start / z.min())
     two_over_z = 2.0 / z
     f_hi = np.zeros_like(z)
     f = np.full_like(z, seed)
@@ -340,10 +359,11 @@ def _jy01_miller(z: np.ndarray):
         elif k:
             y1s += ((-1.0 if k % 2 else 1.0) * (2 * k + 1) / (k * (k + 1))) * f
         if may_rescale:
-            big = np.abs(f) > _RESCALE
+            big = np.abs(f) > limit
             if big.any():
+                shift = -np.frexp(f[big])[1]
                 for arr in (f, f_hi, even, y0s, y1s):
-                    arr[big] *= 1.0 / _RESCALE
+                    arr[big] = np.ldexp(arr[big], shift)
     norm = f + 2.0 * even
     j0, j1 = f / norm, f_hi / norm
     L = np.log(0.5 * z) + EULER_GAMMA
@@ -369,10 +389,11 @@ def _jy01_into(z: np.ndarray, rows) -> None:
 
 def _arguments(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    if not np.all((z > 0.0) & (z < np.inf)):  # NaN fails both
+    if not np.all((z >= _Z_MIN) & (z <= _Z_MAX)):  # NaN fails both
         if np.any(z <= 0.0):
             raise NonPositiveArgument("arguments must be positive")
-        raise InvalidParameter("arguments must be finite")
+        raise InvalidParameter(f"arguments must be finite and lie in [{_Z_MIN:g}, "
+                               f"{_Z_MAX:g}], got {z.min():g} to {z.max():g}")
     return z
 
 

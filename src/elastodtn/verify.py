@@ -137,17 +137,16 @@ def helmholtz_check(field_fn, config: ProblemConfig, points, step: float = 1e-3)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     k1, k2 = config.kappa1, config.kappa2
 
+    ex = np.array([step, 0.0])
+    ey = np.array([0.0, step])
+
     def div_curl(q):
-        ex = np.array([step, 0.0])
-        ey = np.array([0.0, step])
         fxp, fxm = field_fn(q + ex), field_fn(q - ex)
         fyp, fym = field_fn(q + ey), field_fn(q - ey)
         d = (fxp[:, 0] - fxm[:, 0] + fyp[:, 1] - fym[:, 1]) / (2 * step)
         c = (fxp[:, 1] - fxm[:, 1] - fyp[:, 0] + fym[:, 0]) / (2 * step)
         return d, c
 
-    ex = np.array([step, 0.0])
-    ey = np.array([0.0, step])
     d0, c0 = div_curl(pts)
     dxp, cxp = div_curl(pts + ex)
     dxm, cxm = div_curl(pts - ex)
@@ -207,8 +206,7 @@ def fit_rate(history, use: str = "e_h") -> ConvergenceFit:
         raise InsufficientData(
             f"need at least 3 usable records after the first, got {len(pairs)}"
         )
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
+    xs, ys = np.array(pairs).T
     slope, intercept = np.polyfit(xs, ys, 1)
     fit = slope * xs + intercept
     ss_res = float(np.sum((ys - fit) ** 2))

@@ -47,6 +47,16 @@ BAD_INPUTS = {
     "ProblemConfig tolerance nan": lambda: elastodtn.example1_config(tolerance=math.nan),
     "ProblemConfig tolerance inf": lambda: elastodtn.example1_config(tolerance=math.inf),
     "ProblemConfig tolerance negative": lambda: elastodtn.example1_config(tolerance=-1.0),
+    "ProblemConfig N fractional": lambda: elastodtn.example1_config(N=2.5),
+    "ProblemConfig N bool": lambda: elastodtn.example1_config(N=True),
+    "ProblemConfig N None": lambda: elastodtn.example1_config(N=None),
+    "ProblemConfig N negative": lambda: elastodtn.example1_config(N=-1),
+    "ProblemConfig N above the cap": lambda: elastodtn.example1_config(N=1025),
+    "dtn.build_spectrum omega 1e104": lambda: dtn.build_spectrum(
+        elastodtn.example1_config(omega=1e104)),
+    "dtn.build_spectrum omega 1e-160": lambda: dtn.build_spectrum(
+        elastodtn.example1_config(omega=1e-160)),
+    "specfun.hankel01 below the domain": lambda: specfun.hankel01(1e-301),
     "IncidentWave direction zero": lambda: elastodtn.IncidentWave(direction=(0.0, 0.0)),
     "IncidentWave direction nan": lambda: elastodtn.IncidentWave(direction=(math.nan, 1.0)),
     "IncidentWave direction inf": lambda: elastodtn.IncidentWave(direction=(math.inf, 0.0)),

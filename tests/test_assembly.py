@@ -7,6 +7,9 @@ re-verified by a term-by-term evaluation of the variational form.
 """
 
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -33,12 +36,12 @@ from elastodtn import assembly
 from elastodtn.assembly import (
     LinearSystem,
     SolutionField,
-    dtn_block,
     element_matrices,
     residual_vector,
     triangle_magnitudes,
 )
-from elastodtn.errors import InvalidRadii, OriginEvaluation
+from elastodtn.dtn import outer_mode_basis
+from elastodtn.errors import InvalidParameter, InvalidRadii, OrderCapExceeded, OriginEvaluation
 from elastodtn.mesh import OBSTACLE, refine, refine_all
 from elastodtn.verify import errors_vs_exact, exact_solution_example1
 
@@ -53,6 +56,18 @@ class TestProblemConfig:
     def test_invalid_radii(self):
         with pytest.raises(InvalidRadii):
             example1_config(R_hat=2.0, R=1.0)
+
+    @pytest.mark.parametrize("N, error", [
+        (2.5, InvalidParameter), (3.0, InvalidParameter), (True, InvalidParameter),
+        (None, InvalidParameter), (-1, InvalidParameter), (1025, OrderCapExceeded),
+    ])
+    def test_truncation_order_is_an_integer_up_to_the_cap(self, N, error):
+        """N = 2.5 once became 2 and N = True became 1 without a word."""
+        with pytest.raises(error, match="truncation order N"):
+            example1_config(N=N)
+
+    def test_numpy_integer_truncation_order(self):
+        assert example1_config(N=np.int64(1024)).N == 1024
 
     def test_invalid_material(self):
         with pytest.raises(ValueError):
@@ -227,7 +242,8 @@ class TestAssemble:
 
 def full_matrix(mesh, cfg, spectrum):
     """b_N over all DOFs, obstacle ones included: the volume triplets of
-    the element matrices and the dense DtN block in one COO, as CSR."""
+    the element matrices and the dense DtN block in one COO, as CSR.  The
+    block D = 2 pi R sum_n B_n^H M_n B_n is summed here mode by mode."""
     el = element_matrices(mesh, cfg)
     n_dof = 2 * len(mesh.vertices)
     gdof = np.empty((len(mesh.triangles), 6), dtype=np.int64)
@@ -236,7 +252,9 @@ def full_matrix(mesh, cfg, spectrum):
     rows = np.repeat(gdof, 6, axis=1).ravel()
     cols = np.tile(gdof, (1, 6)).ravel()
     data = el.ravel()
-    ddofs, D = dtn_block(mesh, spectrum)
+    ddofs, B = outer_mode_basis(mesh, spectrum.mode_numbers())
+    D = 2 * np.pi * spectrum.radius * np.einsum(
+        "mak,mab,mbl->kl", np.conj(B), spectrum.matrix_stack(), B, optimize=True)
     rows = np.concatenate([rows, np.repeat(ddofs, len(ddofs))])
     cols = np.concatenate([cols, np.tile(ddofs, len(ddofs))])
     data = np.concatenate([data, (-D).ravel()])
@@ -447,10 +465,20 @@ class TestBorderedCoupling:
         system = assemble(mesh, cfg, build_spectrum(cfg))
         return system, solve(system).values.ravel()[system.free_dofs]
 
-    @pytest.mark.parametrize("omega", [math.pi, 50.0], ids=["pi", "omega50"])
-    @pytest.mark.parametrize("levels, N", [(3, 35), (2, 4)], ids=["level3-N35", "level2-N4"])
-    def test_forms_agree(self, monkeypatch, levels, N, omega):
-        cfg, mesh = example1_config(omega=omega, N=N), _levels(levels)
+    @pytest.mark.parametrize("example, levels, N, omega", [
+        pytest.param(1, 3, 35, math.pi, id="level3-N35-pi"),
+        pytest.param(1, 3, 35, 50.0, id="level3-N35-omega50"),
+        pytest.param(1, 2, 4, math.pi, id="level2-N4-pi"),
+        pytest.param(1, 2, 4, 50.0, id="level2-N4-omega50"),
+        pytest.param(2, 2, 97, math.pi, id="ex2-level2-N97-pi"),
+    ])
+    def test_forms_agree(self, monkeypatch, example, levels, N, omega):
+        if example == 2:
+            cfg, mesh = example2_config(omega=omega, N=N), example2_mesh()
+            for _ in range(levels):
+                mesh = refine_all(mesh)
+        else:
+            cfg, mesh = example1_config(omega=omega, N=N), _levels(levels)
         _, x_dense = self._solve(monkeypatch, "dense", cfg, mesh)
         system, x_bordered = self._solve(monkeypatch, "bordered", cfg, mesh)
         assert isinstance(system.matrix, assembly.BorderedMatrix)
@@ -504,6 +532,25 @@ class TestBorderedCoupling:
         solve(assemble(mesh, cfg, spectrum))
         assert len(factors) == 2
         assert factors[0].nnz <= factors[1].nnz
+
+    def test_crossover_tool_factors_both_forms(self):
+        """tools/coupling_crossover.py rebinds _BORDER_FROM to assemble each
+        level in both forms; on the 16 x 1 annulus (about 0.6 s) it prints a
+        header and one row per level with the stored LU entries of each."""
+        tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "coupling_crossover.py"
+        done = subprocess.run(
+            [sys.executable, str(tool), "--segments", "16", "--layers", "1", "--levels", "0", "1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header, *rows = done.stdout.splitlines()
+        assert header.split() == ["level", "n", "K", "r", "K/r", "LU", "dense", "t", "dense",
+                                  "LU", "bord", "t", "bord", "ratio"]
+        assert [row.split()[0] for row in rows] == ["0", "1"]
+        for level, row in enumerate(rows):
+            _, n, K, r, _, lu_dense, _, lu_bordered, _, _ = row.split()
+            assert (int(n), int(K), int(r)) == (32 * 4**level, 32 * 2**level, 142)
+            assert 0 < int(lu_dense) < int(lu_bordered)
 
 
 class TestFreeDofAssembly:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from elastodtn.dtn import (
     _exp_moments,
@@ -342,10 +343,12 @@ class TestBoundaryForm:
 
     @pytest.mark.parametrize("example", ["ex1", "ushape"])
     def test_matches_dense_assembly_block(self, rng, example):
-        """The mode-sum form and the assembled dense DtN block are two
-        routes to the same sesquilinear form: v^H D u = form(u, v).  The
-        U-shape start mesh has a polygonal obstacle, R = 3 and N = 97."""
-        from elastodtn.assembly import dtn_block
+        """The mode-sum form and the assembled dense DtN coupling are two
+        routes to the same sesquilinear form: v^H D u = form(u, v), with
+        D = V - A on the outer DOFs, V the volume part summed from the
+        element matrices and A the assembled system matrix.  The U-shape
+        start mesh has a polygonal obstacle, R = 3 and N = 97."""
+        from elastodtn.assembly import assemble, element_matrices
         from elastodtn.verify import exact_solution_example1
 
         if example == "ex1":
@@ -356,7 +359,16 @@ class TestBoundaryForm:
             spec = build_spectrum(cfg)
             u_nodal = rng.normal(size=(len(mesh.vertices), 2)) + 1j * rng.normal(
                 size=(len(mesh.vertices), 2))
-        dofs, D = dtn_block(mesh, spec)
+        system = assemble(mesh, cfg, spec)
+        assert system.matrix.format == "csc"  # the dense form of the coupling
+        gdof = np.repeat(2 * mesh.triangles, 2, axis=1) + np.tile([0, 1], 3)
+        rows, cols = np.repeat(gdof, 6, axis=1).ravel(), np.tile(gdof, (1, 6)).ravel()
+        n_dof = 2 * len(mesh.vertices)
+        V = sp.coo_matrix((element_matrices(mesh, cfg).ravel(), (rows, cols)),
+                          shape=(n_dof, n_dof)).tocsr()
+        dofs, _ = outer_mode_basis(mesh, spec.mode_numbers())
+        at = np.searchsorted(system.free_dofs, dofs)
+        D = V[dofs][:, dofs].toarray() - system.matrix[at][:, at].toarray()
 
         v_nodal = rng.normal(size=u_nodal.shape) + 1j * rng.normal(size=u_nodal.shape)
         idx, th = mesh.outer_vertex_order()

@@ -7,6 +7,7 @@ them reuse the recurrence path.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,8 @@ import scipy.special as sc
 
 from elastodtn import example1_config, specfun
 from elastodtn.dtn import build_spectrum
-from elastodtn.errors import (InvalidParameter, NonPositiveArgument, OrderCapExceeded,
-                              OverflowRegime)
+from elastodtn.errors import (ElastoDtnError, InvalidParameter, NonPositiveArgument,
+                              OrderCapExceeded, OverflowRegime)
 from elastodtn.specfun import bessel_jy, hankel_ratio_gap, hankel01, mode_scalar_arrays
 
 K1 = math.pi / 2
@@ -252,6 +253,27 @@ class TestJy01Oracles:
         assert _relerr(h0, sc.hankel1(0, z)) <= 1e-14
         assert _relerr(h1, sc.hankel1(1, z)) <= 1e-14
 
+    def test_tiny_arguments_against_scipy(self):
+        """Down to z = 1e-300 one recurrence step grows |F| up to 1e302
+        times, so a point is rescaled before the step that would overflow,
+        whether it comes alone or with the whole range.  scipy's real part
+        of H_1 is wrong there (3.9e138 at z = 1e-155, where J_1 = z/2), so
+        the error is taken in modulus, as everywhere in this class."""
+        z = np.geomspace(1e-300, 1e-10, 2001)
+        want0, want1 = sc.hankel1(0, z), sc.hankel1(1, z)
+        h0, h1 = hankel01(z)
+        assert _relerr(h0, want0) <= 1e-14 and _relerr(h1, want1) <= 1e-14
+        for k in range(0, z.size, 20):
+            h0, h1 = hankel01(z[k])
+            assert _relerr(h0, want0[k]) <= 1e-14 and _relerr(h1, want1[k]) <= 1e-14
+        J = np.array([bessel_jy(1, x)[0] for x in z[::20]])
+        assert _relerr(J[:, 1], z[::20] / 2) <= 1e-14 and np.all(J[:, 0] == 1.0)
+
+    @pytest.mark.parametrize("z", [1e-301, 1e301, 5e-324])
+    def test_arguments_outside_the_domain_raise(self, z):
+        with pytest.raises(InvalidParameter, match=re.escape(f"{z:g}")):
+            hankel01(np.array([1.0, z]))
+
     def test_shape_is_kept(self):
         z = np.linspace(1.0, 60.0, 12).reshape(3, 4)
         assert all(a.shape == (3, 4) for a in hankel01(z))
@@ -375,3 +397,48 @@ class TestModeScalarsHighFrequency:
                 hp = (mpmath.hankel1(n - 1, z) - mpmath.hankel1(n + 1, z)) / 2
                 want = complex(z * hp / h)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+class TestSpectrumRange:
+    """build_spectrum(example1_config(omega=10^k, N=35)) for k = -300..306:
+    finite mode matrices, or a library error that names omega, and never a
+    RuntimeWarning (tier-1 turns those into errors).  Below the range a
+    scattering scalar leaves the normal doubles (or z = kappa R leaves
+    hankel01's domain); above it an entry of M overflows."""
+
+    ACCEPTED = range(-152, 103)
+
+    def test_sweep(self):
+        accepted = []
+        for k in range(-300, 307):
+            omega = 10.0**k
+            try:
+                spec = build_spectrum(example1_config(omega=omega, N=35))
+            except ElastoDtnError as exc:
+                assert f"omega = {omega:g}" in str(exc)
+                continue
+            assert np.isfinite(spec.matrices).all()
+            accepted.append(k)
+        assert accepted == list(self.ACCEPTED)
+
+    @pytest.mark.parametrize("k, dps, ns", [
+        (ACCEPTED[0], 30, [0, 1, 2, 35]),
+        (ACCEPTED[-1], 140, [35]),  # mpmath needs the digits of z to reduce it
+    ])
+    def test_ends_against_mpmath(self, k, dps, ns):
+        """M_n at the two ends of the range against 30 significant digits,
+        with Lambda from beta_j = kappa_j H_{n-1}/H_n, which does not cancel
+        as n^2 - alpha_1 alpha_2 does at small kappa."""
+        mpmath = pytest.importorskip("mpmath")
+        spec = build_spectrum(example1_config(omega=10.0**k, N=35))
+        with mpmath.workdps(dps):
+            w = mpmath.mpf(10.0**k)
+            for n in ns:
+                b1, b2 = (kap * mpmath.hankel1(n - 1, kap) / mpmath.hankel1(n, kap)
+                          for kap in (w / 2, w))
+                lam = n * (b1 + b2) - b1 * b2
+                n12 = 1j * n * (w * w - lam)
+                M = np.array([[complex(x / lam) for x in row] for row in
+                              [[-lam + (b2 - n) * w * w, n12], [-n12, -lam + (b1 - n) * w * w]]])
+                err = np.abs(spec.matrices[35 + n] - M).max()
+                assert err <= 1e-14 * np.abs(M).max(), n
