@@ -138,7 +138,7 @@ from .errors import (
     SingularSystem,
     ThetaOutOfRange,
 )
-from .mesh import OBSTACLE, Mesh, format_rows
+from .mesh import OBSTACLE, Mesh
 from .specfun import MAX_ORDER, hankel01
 
 TWO_PI = 2.0 * math.pi
@@ -173,6 +173,15 @@ class IncidentWave:
                 f"direction must be two finite numbers with a finite nonzero length, "
                 f"got {self.direction}"
             )
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise InvalidParameter unless value is an integer >= least; a bool,
+    a fractional, nan or inf loop count is refused before any solve."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be a finite integer, got {value!r}")
+    if value < least:
+        raise InvalidParameter(f"need {name} >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +220,7 @@ class ProblemConfig:
             raise ThetaOutOfRange(f"theta must lie in (0, 1), got {self.theta_mark}")
         if not self.tolerance > 0.0:
             raise InvalidParameter(f"need tolerance > 0, got {self.tolerance}")
-        if self.max_iters < 1:
-            raise InvalidParameter(f"need max_iters >= 1, got {self.max_iters}")
+        check_count("max_iters", self.max_iters, 1)
 
     @property
     def kappa1(self) -> float:
@@ -534,23 +542,6 @@ def residual_vector(field: SolutionField, spectrum: DtnSpectrum) -> np.ndarray:
         "ma,mak->k", Mu, np.conj(B)
     )
     return out
-
-
-# -- exports ---------------------------------------------------------------
-
-
-def save_solution_csv(field: SolutionField, path):
-    """vertex_index x y Re(u_x) Im(u_x) Re(u_y) Im(u_y)"""
-    x, y = field.mesh.vertices.T
-    ux, uy = field.values.T
-    with open(path, "w") as fh:
-        fh.write("vertex_index,x,y,re_ux,im_ux,re_uy,im_uy\n")
-        fh.write(
-            format_rows(
-                "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
-                np.arange(len(x)), x, y, ux.real, ux.imag, uy.real, uy.imag,
-            )
-        )
 
 
 def triangle_magnitudes(field: SolutionField) -> np.ndarray:

@@ -6,6 +6,10 @@ estimate, stop once eps_h <= tolerance, otherwise refine every triangle
 whose indicator exceeds theta times the maximum and repeat.  eps_N stays
 constant across iterations because N and the frozen incident-field norm
 are chosen once on the initial mesh.
+
+`solve` writes history.csv, the final mesh, and one table each of the
+final field, indicators and |u| per triangle, all numbers as %.17g text;
+`spectrum-dump` prints the DtN spectrum, which no run writes.
 """
 
 from __future__ import annotations
@@ -13,15 +17,17 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import math
+import os
 import sys
-import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import assembly, estimator, mesh as meshmod, verify
-from .assembly import IncidentWave, ProblemConfig
+from .assembly import IncidentWave, ProblemConfig, check_count
 from .dtn import DtnSpectrum, build_spectrum, select_truncation, spectrum_table
 from .errors import ElastoDtnError, InvalidParameter
-from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
+from .mesh import Mesh, format_rows, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,6 @@ class RunRecord:
     eps_h: float
     eps_N: float
     e_h: float | None
-    wall_time: float
 
 
 @dataclass
@@ -43,10 +48,6 @@ class RunHistory:
     u_inc_h1: float
     report: estimator.EstimateReport  # indicators of the final field
     stop_reason: str  # "tolerance", "max_dof", "max_iters" or "rounds"
-
-    @property
-    def final(self) -> RunRecord:
-        return self.records[-1]
 
 
 def example1_config(**overrides) -> ProblemConfig:
@@ -97,26 +98,10 @@ def example2_mesh() -> Mesh:
     return load_mesh(str(path))
 
 
-def _record(it, field, report, t0) -> RunRecord:
-    e_h = None
-    if field.config.incident.kind == "hankel0":
-        e_h = verify.errors_vs_exact(field)
-    return RunRecord(
-        iteration=it,
-        dof=report.dof,
-        n_triangles=len(field.mesh.triangles),
-        eps_h=report.eps_h,
-        eps_N=report.eps_N,
-        e_h=e_h,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
 def _refinement_loop(config, initial_mesh, stop, next_mesh) -> RunHistory:
     """Solve and estimate on the current mesh until stop(report, solves)
     names a stop reason, moving to next_mesh(mesh, report) in between."""
     meshmod.check_radii(initial_mesh, config.R_hat, config.R)
-    t0 = time.perf_counter()
     spectrum = build_spectrum(config)
     u_inc_h1 = assembly.incident_h1(config, initial_mesh)
     current = initial_mesh
@@ -124,7 +109,9 @@ def _refinement_loop(config, initial_mesh, stop, next_mesh) -> RunHistory:
     while True:
         field = assembly.solve(assembly.assemble(current, config, spectrum))
         report = estimator.global_estimate(field, spectrum, u_inc_h1=u_inc_h1)
-        records.append(_record(len(records), field, report, t0))
+        e_h = verify.errors_vs_exact(field) if config.incident.kind == "hankel0" else None
+        records.append(RunRecord(len(records), report.dof, len(current.triangles),
+                                 report.eps_h, report.eps_N, e_h))
         reason = stop(report, len(records))
         if reason is not None:
             return RunHistory(records, spectrum, field, u_inc_h1, report, reason)
@@ -163,8 +150,7 @@ def adaptive_solve(
 def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> RunHistory:
     """Same loop with full refinement (every edge split) for the given
     number of rounds, rounds + 1 solves; stop_reason is "rounds"."""
-    if rounds < 0:
-        raise InvalidParameter(f"need rounds >= 0, got {rounds}")
+    check_count("rounds", rounds, 0)
     return _refinement_loop(
         config, initial_mesh,
         lambda report, solves: "rounds" if solves > rounds else None,
@@ -184,21 +170,23 @@ def write_history_csv(history: RunHistory, path):
             fh.write(f"{r.iteration},{r.dof},{r.eps_h:.17g},{r.eps_N:.17g},{e_h}\n")
 
 
-def _write_run_outputs(history: RunHistory, out_dir, dump_spectrum=False):
-    import os
-
+def _write_run_outputs(history: RunHistory, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_history_csv(history, os.path.join(out_dir, "history.csv"))
     save_mesh(history.field.mesh, os.path.join(out_dir, "mesh_final.txt"))
-    assembly.save_solution_csv(history.field, os.path.join(out_dir, "solution_final.csv"))
-    estimator.save_eta_csv(history.report, os.path.join(out_dir, "eta_final.csv"))
-    meshmod.save_triangle_scalars(
-        os.path.join(out_dir, "magnitude_final.txt"),
-        assembly.triangle_magnitudes(history.field),
-    )
-    if dump_spectrum:
-        with open(os.path.join(out_dir, "spectrum.txt"), "w") as fh:
-            fh.write(spectrum_table(history.spectrum))
+    x, y = history.field.mesh.vertices.T
+    ux, uy = history.field.values.T
+    # file, header, row format after the 0-based row index, columns
+    tables = [
+        ("solution_final.csv", "vertex_index,x,y,re_ux,im_ux,re_uy,im_uy\n",
+         ",%.17g" * 6, (x, y, ux.real, ux.imag, uy.real, uy.imag)),
+        ("eta_final.csv", "triangle_index,eta\n", ",%.17g", (history.report.eta,)),
+        ("magnitude_final.txt", "", " %.17g", (assembly.triangle_magnitudes(history.field),)),
+    ]
+    for name, header, row_fmt, columns in tables:
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(header)
+            fh.write(format_rows("%d" + row_fmt + "\n", np.arange(len(columns[0])), *columns))
 
 
 # -- configuration plumbing -------------------------------------------------
@@ -277,7 +265,6 @@ def _add_common_flags(p):
     }
     for key, (kind, _) in _PROBLEM_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, **extra.get(key, {}))
-    p.add_argument("--out", default="out", help="output directory")
 
 
 def cli(argv=None) -> int:
@@ -289,13 +276,13 @@ def cli(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="run the adaptive loop")
     _add_common_flags(p_solve)
+    p_solve.add_argument("--out", default="out", help="output directory")
     p_solve.add_argument(
         "--max-dof", dest="max_dof", type=int, default=50_000,
         help="stop once the mesh reaches this many nodes (desk-run budget)",
     )
     p_solve.add_argument("--uniform-rounds", dest="uniform_rounds", type=int,
                          help="uniform refinement instead of adaptive")
-    p_solve.add_argument("--dump-spectrum", action="store_true")
 
     p_conv = sub.add_parser(
         "convergence", help="adaptive vs uniform error table (benchmark style)"
@@ -325,8 +312,8 @@ def _dispatch(ns) -> int:
             history = uniform_solve(cfg, msh, ns.uniform_rounds)
         else:
             history = adaptive_solve(cfg, msh, max_dof=ns.max_dof)
-        _write_run_outputs(history, ns.out, dump_spectrum=ns.dump_spectrum)
-        last = history.final
+        _write_run_outputs(history, ns.out)
+        last = history.records[-1]
         if history.stop_reason == "max_iters":
             print(f"warning: eps_h = {last.eps_h:.4g} > tolerance after "
                   f"{len(history.records)} iterations", file=sys.stderr)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .assembly import SolutionField, check_consistent
 from .dtn import DtnSpectrum, outer_mode_basis, truncation_error
-from .mesh import OUTER, Mesh, format_rows
+from .mesh import OUTER, Mesh
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 _GAUSS_T = 0.5 * (_GAUSS_X + 1.0)  # nodes on (0, 1)
@@ -148,10 +148,3 @@ def global_estimate(
     eps_h = math.sqrt(float(np.sum(eta**2)))
     eps_N = truncation_error(spectrum.truncation_n, cfg.R_hat, cfg.R, u_inc_h1)
     return EstimateReport(eta, eps_h, eps_N, dof=len(mesh.vertices))
-
-
-def save_eta_csv(report: EstimateReport, path):
-    """Per-triangle export ``triangle_index eta`` for heat maps."""
-    with open(path, "w") as fh:
-        fh.write("triangle_index,eta\n")
-        fh.write(format_rows("%d,%.17g\n", np.arange(len(report.eta)), report.eta))

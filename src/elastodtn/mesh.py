@@ -10,7 +10,8 @@ refinement.
 New vertices created on the outer boundary are projected radially onto
 the circle r = R (the DtN circle is treated as exact); midpoints on a
 circular obstacle boundary are projected the same way, while polygonal
-obstacle edges keep their straight midpoints.
+obstacle edges, and every boundary of a mesh built without its radius,
+keep their straight midpoints.
 
 Vertex tags: 0 interior, 1 obstacle boundary, 2 outer boundary.  The
 text format round-trips: header ``vertices V triangles T``, then V lines
@@ -118,19 +119,30 @@ class Mesh:
         self.edge_tags = etags
 
     def _validate(self):
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise InvalidParameter(f"vertex {k} is not finite: {tuple(self.vertices[k].tolist())}")
         s = np.sort(self.triangles, axis=1)
         s = s[np.lexsort(s.T[::-1])]
         if np.any(np.all(s[1:] == s[:-1], axis=1)):
             raise NonConforming("mesh contains a duplicated triangle")
-        if np.any(self.areas <= 0.0):
-            k = int(np.argmax(self.areas <= 0.0))
-            raise OrientationError(f"triangle {k} is not counterclockwise")
-        for radius, tag, name, symbol in ((self.outer_radius, OUTER, "outer", "R"),
-                                          (self.obstacle_radius, OBSTACLE, "obstacle", "R_hat")):
-            if radius:  # an outer radius of 0 or no obstacle radius: not a circle
-                r = np.linalg.norm(self.vertices[self.vertex_tags == tag], axis=1)
-                if r.size and np.max(np.abs(r - radius)) > _CIRCLE_RTOL * radius:
-                    raise NonConforming(f"an {name} vertex is off the circle r = {symbol}")
+        ccw = self.areas > 0.0  # False on a NaN area too
+        if not ccw.all():
+            k = int(np.argmin(ccw))
+            raise OrientationError(
+                f"triangle {k} is not counterclockwise: signed area {self.areas[k]:.3g}")
+        for tag, radius in self._circles():
+            r = np.linalg.norm(self.vertices[self.vertex_tags == tag], axis=1)
+            if r.size and np.max(np.abs(r - radius)) > _CIRCLE_RTOL * radius:
+                name, symbol = ("outer", "R") if tag == OUTER else ("obstacle", "R_hat")
+                raise NonConforming(f"an {name} vertex is off the circle r = {symbol}")
+
+    def _circles(self) -> list[tuple[int, float]]:
+        """(tag, radius) of each boundary that is a circle.  An outer
+        radius of 0 or an obstacle radius of None means straight edges."""
+        return [(tag, radius) for tag, radius in
+                ((OUTER, self.outer_radius), (OBSTACLE, self.obstacle_radius)) if radius]
 
     # -- P1 geometry -------------------------------------------------
 
@@ -310,9 +322,9 @@ def _midpoints(mesh: Mesh, edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray
         mesh.vertices[mesh.edges[edge_ids, 0]] + mesh.vertices[mesh.edges[edge_ids, 1]]
     )
     tags = mesh.edge_tags[edge_ids].copy()
-    for tag, radius in ((OUTER, mesh.outer_radius), (OBSTACLE, mesh.obstacle_radius)):
+    for tag, radius in mesh._circles():
         on = tags == tag
-        if radius is not None and on.any():
+        if on.any():
             r = np.linalg.norm(p[on], axis=1)
             p[on] *= (radius / r)[:, None]
     return p, tags
@@ -399,12 +411,6 @@ def save_mesh(mesh: Mesh, path):
         fh.write(f"vertices {len(mesh.vertices)} triangles {len(mesh.triangles)}\n")
         fh.write(format_rows("%.17g %.17g %d\n", x, y, mesh.vertex_tags))
         fh.write(format_rows("%d %d %d\n", i, j, k))
-
-
-def save_triangle_scalars(path, values):
-    """Companion export ``triangle_index value`` for plotting."""
-    with open(path, "w") as fh:
-        fh.write(format_rows("%d %.17g\n", np.arange(len(values)), values))
 
 
 def load_mesh(path) -> Mesh:

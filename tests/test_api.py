@@ -52,6 +52,14 @@ BAD_INPUTS = {
     "ProblemConfig N None": lambda: elastodtn.example1_config(N=None),
     "ProblemConfig N negative": lambda: elastodtn.example1_config(N=-1),
     "ProblemConfig N above the cap": lambda: elastodtn.example1_config(N=1025),
+    "ProblemConfig max_iters fractional": lambda: elastodtn.example1_config(max_iters=1.5),
+    "ProblemConfig max_iters bool": lambda: elastodtn.example1_config(max_iters=True),
+    "ProblemConfig max_iters nan": lambda: elastodtn.example1_config(max_iters=math.nan),
+    "ProblemConfig max_iters inf": lambda: elastodtn.example1_config(max_iters=math.inf),
+    "uniform_solve rounds fractional": lambda: elastodtn.uniform_solve(
+        elastodtn.example1_config(), elastodtn.example1_mesh(16, 1), 0.5),
+    "uniform_solve rounds bool": lambda: elastodtn.uniform_solve(
+        elastodtn.example1_config(), elastodtn.example1_mesh(16, 1), True),
     "dtn.build_spectrum omega 1e104": lambda: dtn.build_spectrum(
         elastodtn.example1_config(omega=1e104)),
     "dtn.build_spectrum omega 1e-160": lambda: dtn.build_spectrum(

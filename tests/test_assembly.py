@@ -643,12 +643,10 @@ class TestTraceAndExports:
     def test_solution_csv_round_numbers(self, tmp_path):
         cfg = example1_config(N=2)
         mesh = generate_annulus(0.5, 1.0, 8, 1)
-        field = solve(assemble(mesh, cfg, build_spectrum(cfg)))
-        from elastodtn.assembly import save_solution_csv
+        from elastodtn.driver import _write_run_outputs, uniform_solve
 
-        path = tmp_path / "solution.csv"
-        save_solution_csv(field, path)
-        lines = path.read_text().splitlines()
+        _write_run_outputs(uniform_solve(cfg, mesh, 0), tmp_path)
+        lines = (tmp_path / "solution_final.csv").read_text().splitlines()
         assert lines[0] == "vertex_index,x,y,re_ux,im_ux,re_uy,im_uy"
         assert len(lines) == 1 + len(mesh.vertices)
 

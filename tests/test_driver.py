@@ -1,5 +1,6 @@
 """Adaptive loop mechanics, run artifacts, determinism, and the CLI."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -26,10 +27,13 @@ from elastodtn import driver, verify
 from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
 from elastodtn.dtn import spectrum_table
 from elastodtn.errors import InvalidParameter, InvalidRadii, OrderCapExceeded
-from elastodtn.mesh import OBSTACLE, Mesh, generate_annulus, refine_all, save_mesh, save_triangle_scalars
+from elastodtn.mesh import OBSTACLE, Mesh, generate_annulus, refine_all, save_mesh
 
 LOOSEST = sys.float_info.max  # a tolerance every estimate meets
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# everything a run writes, in sorted order
+ARTIFACTS = ["eta_final.csv", "history.csv", "magnitude_final.txt", "mesh_final.txt",
+             "solution_final.csv"]
 
 
 class TestAdaptiveLoop:
@@ -118,8 +122,8 @@ class TestRunArtifacts:
     def fresh_eta_csv(hist, path):
         spectrum = build_spectrum(hist.field.config)
         report = estimator.global_estimate(hist.field, spectrum, u_inc_h1=hist.u_inc_h1)
-        estimator.save_eta_csv(report, path)
-        return path.read_bytes()
+        _write_run_outputs(dataclasses.replace(hist, report=report), path)
+        return (path / "eta_final.csv").read_bytes()
 
     def test_one_estimate_per_iteration_and_none_in_writer(self, tmp_path, estimate_calls):
         cfg = example1_config(tolerance=1e-12, max_iters=40)
@@ -128,7 +132,7 @@ class TestRunArtifacts:
         _write_run_outputs(hist, tmp_path / "run")
         assert len(estimate_calls) == len(hist.records)
         eta = (tmp_path / "run" / "eta_final.csv").read_bytes()
-        assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh.csv")
+        assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh")
 
     def test_capped_history_carries_final_report(self, tmp_path, estimate_calls):
         cfg = example1_config(tolerance=1e-9, max_iters=2)
@@ -136,13 +140,15 @@ class TestRunArtifacts:
         assert hist.stop_reason == "max_iters"
         assert len(estimate_calls) == 2
         assert len(hist.report.eta) == len(hist.field.mesh.triangles)
-        _write_run_outputs(hist, tmp_path / "run", dump_spectrum=True)
+        _write_run_outputs(hist, tmp_path / "run")
         assert len(estimate_calls) == 2
-        assert (tmp_path / "run" / "spectrum.txt").exists()
+        assert sorted(os.listdir(tmp_path / "run")) == ARTIFACTS  # no spectrum.txt
         eta = (tmp_path / "run" / "eta_final.csv").read_bytes()
-        assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh.csv")
+        assert eta == self.fresh_eta_csv(hist, tmp_path / "fresh")
 
-    def test_one_spectrum_per_run_and_none_in_writer(self, tmp_path, monkeypatch):
+    def test_one_spectrum_per_run_and_none_in_writer(self, tmp_path, monkeypatch, capsys):
+        """The writer builds no spectrum and writes none; spectrum-dump
+        with the run's flags prints the one the run solved with."""
         calls = []
 
         def counting(config):
@@ -152,16 +158,17 @@ class TestRunArtifacts:
         monkeypatch.setattr(driver, "build_spectrum", counting)
         cfg = example1_config(tolerance=LOOSEST, N=12)
         hist = adaptive_solve(cfg, example1_mesh(16, 1))
-        _write_run_outputs(hist, tmp_path / "run", dump_spectrum=True)
+        _write_run_outputs(hist, tmp_path / "run")
         assert calls == [cfg]
-        written = (tmp_path / "run" / "spectrum.txt").read_text()
-        assert written == spectrum_table(build_spectrum(cfg))
+        assert sorted(os.listdir(tmp_path / "run")) == ARTIFACTS
+        assert cli(["spectrum-dump", "--example", "1", "--N", "12"]) == 0
+        assert capsys.readouterr().out == spectrum_table(hist.spectrum)
 
 
 class TestArtifactBytes:
-    """The one-format writers against the row-by-row f-string loops they
-    replaced, on a random complex field with signed zeros and values
-    from 1e-20 to 1e4."""
+    """The files _write_run_outputs writes against the row-by-row f-string
+    loops its one table replaced, on a random complex field with signed
+    zeros and values from 1e-20 to 1e4."""
 
     @pytest.fixture(scope="class")
     def field(self):
@@ -177,6 +184,17 @@ class TestArtifactBytes:
         return assembly.SolutionField(
             mesh, example1_config(), values, np.zeros(len(mesh.vertices), dtype=bool)
         )
+
+    @pytest.fixture(scope="class")
+    def eta(self, field):
+        return np.abs(field.values[: len(field.mesh.triangles), 0])
+
+    @pytest.fixture(scope="class")
+    def written(self, field, eta, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        report = types.SimpleNamespace(eta=eta)
+        _write_run_outputs(driver.RunHistory([], None, field, 0.0, report, "rounds"), out)
+        return out
 
     @staticmethod
     def loop_solution(field):
@@ -197,25 +215,21 @@ class TestArtifactBytes:
             out += f"{i} {j} {k}\n"
         return out
 
-    def test_solution_csv(self, field, tmp_path):
-        assembly.save_solution_csv(field, tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_text() == self.loop_solution(field)
+    def test_solution_csv(self, field, written):
+        assert (written / "solution_final.csv").read_text() == self.loop_solution(field)
 
     def test_mesh(self, field, tmp_path):
         save_mesh(field.mesh, tmp_path / "m.txt")
         assert (tmp_path / "m.txt").read_text() == self.loop_mesh(field.mesh)
 
-    def test_eta_csv(self, field, tmp_path):
-        eta = np.abs(field.values[: len(field.mesh.triangles), 0])
-        estimator.save_eta_csv(types.SimpleNamespace(eta=eta), tmp_path / "e.csv")
+    def test_eta_csv(self, eta, written):
         want = "triangle_index,eta\n" + "".join(f"{i},{v:.17g}\n" for i, v in enumerate(eta))
-        assert (tmp_path / "e.csv").read_text() == want
+        assert (written / "eta_final.csv").read_text() == want
 
-    def test_triangle_scalars(self, field, tmp_path):
-        values = field.values[: len(field.mesh.triangles), 1].real
-        save_triangle_scalars(tmp_path / "t.txt", values)
+    def test_triangle_scalars(self, field, written):
+        values = assembly.triangle_magnitudes(field)
         want = "".join(f"{i} {v:.17g}\n" for i, v in enumerate(values))
-        assert (tmp_path / "t.txt").read_text() == want
+        assert (written / "magnitude_final.txt").read_text() == want
 
 
 class TestUniformLoop:
@@ -355,7 +369,8 @@ class TestCli:
     def test_negative_rounds_fail_before_solving(self, tmp_path, capsys, monkeypatch, argv):
         solves = []
         monkeypatch.setattr(assembly, "solve", lambda system: solves.append(system))
-        code = cli(argv + ["--example", "1", "--out", str(tmp_path)])
+        out = ["--out", str(tmp_path)] if argv[0] == "solve" else []  # only solve writes
+        code = cli(argv + ["--example", "1", *out])
         assert code == 1
         assert capsys.readouterr().err == "error: InvalidParameter: need rounds >= 0, got -1\n"
         assert solves == []
@@ -459,14 +474,23 @@ class TestCli:
         )
         assert code == 0
 
-    def test_dump_spectrum_flag(self, tmp_path):
+    def test_dump_spectrum_flag(self, tmp_path, capsys, monkeypatch):
+        """solve has no --dump-spectrum and writes exactly the run's five
+        files; spectrum-dump with the run's flags prints its spectrum."""
+        flags = ["--example", "1", "--N", "2", "--tol", "99"]
         out = tmp_path / "s"
-        code = cli(
-            ["solve", "--example", "1", "--N", "2", "--tol", "99",
-             "--dump-spectrum", "--out", str(out)]
-        )
-        assert code == 0
-        assert (out / "spectrum.txt").exists()
+        with pytest.raises(SystemExit):
+            cli(["solve", *flags, "--dump-spectrum", "--out", str(out)])
+        assert not out.exists()
+        runs = []
+        write = driver._write_run_outputs
+        monkeypatch.setattr(driver, "_write_run_outputs",
+                            lambda hist, out_dir: runs.append(hist) or write(hist, out_dir))
+        assert cli(["solve", *flags, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ARTIFACTS
+        capsys.readouterr()
+        assert cli(["spectrum-dump", *flags]) == 0
+        assert capsys.readouterr().out == spectrum_table(runs[0].spectrum)
 
     def test_convergence_table(self, capsys):
         code = cli(

@@ -1,6 +1,7 @@
 """Mesh generation, refinement, marking, and the text format."""
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastodtn import example1_config, example1_mesh, example2_mesh
-from elastodtn.assembly import element_matrices
+from elastodtn.assembly import SolutionField, element_matrices
+from elastodtn.driver import RunHistory, _write_run_outputs
 from elastodtn.errors import (
+    InvalidParameter,
     InvalidRadii,
     NonConforming,
     OrientationError,
@@ -30,7 +33,6 @@ from elastodtn.mesh import (
     refine,
     refine_all,
     save_mesh,
-    save_triangle_scalars,
 )
 
 
@@ -167,6 +169,16 @@ class TestRefine:
         m = generate_annulus(0.5, 1.0, 8, 1)
         assert refine(m, np.array([], dtype=int)) is m
 
+    def test_mesh_without_radii_refines_with_straight_midpoints(self):
+        """An outer radius of 0 and no obstacle radius mean straight
+        boundaries, for the refinement as for the validation."""
+        m = generate_annulus(0.5, 1.0, 16, 2)
+        bare = Mesh(m.vertices, m.triangles, m.vertex_tags)
+        r = refine_all(bare)
+        straight = 0.5 * (m.vertices[bare.edges[:, 0]] + m.vertices[bare.edges[:, 1]])
+        assert np.array_equal(r.vertices[len(m.vertices):], straight)
+        assert len(r.triangles) == 4 * len(m.triangles)
+
     def test_boolean_mask_accepted(self):
         m = generate_annulus(0.5, 1.0, 8, 1)
         mask = np.zeros(16, dtype=bool)
@@ -214,6 +226,17 @@ class TestTextFormat:
         with pytest.raises(OrientationError):
             load_mesh(path)
 
+    def test_non_finite_vertex_rejected(self, tmp_path):
+        m = generate_annulus(0.5, 1.0, 8, 2)
+        path = tmp_path / "nan.txt"
+        save_mesh(m, path)
+        lines = path.read_text().splitlines()
+        assert lines[1 + 9].endswith(" 0")  # vertex 9 is interior
+        lines[1 + 9] = "nan 0.75 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameter, match=r"vertex 9 is not finite: \(nan, 0.75\)"):
+            load_mesh(path)
+
     @pytest.mark.parametrize(
         "mutation, message_part",
         [
@@ -234,9 +257,14 @@ class TestTextFormat:
             load_mesh(path)
 
     def test_triangle_scalar_export(self, tmp_path):
-        path = tmp_path / "scalars.txt"
-        save_triangle_scalars(path, [0.25, 1.5])
-        assert path.read_text().splitlines() == ["0 0.25", "1 1.5"]
+        # |(0.75, 1j)| = 1.25 on every triangle, exact in binary
+        m = generate_annulus(0.5, 1.0, 8, 1)
+        values = np.tile([0.75, 1j], (len(m.vertices), 1))
+        field = SolutionField(m, example1_config(), values, np.zeros(len(m.vertices), dtype=bool))
+        report = types.SimpleNamespace(eta=np.zeros(len(m.triangles)))
+        _write_run_outputs(RunHistory([], None, field, 0.0, report, "rounds"), tmp_path)
+        lines = (tmp_path / "magnitude_final.txt").read_text().splitlines()
+        assert lines == [f"{i} 1.25" for i in range(16)]
 
 
 def lexicographic_connectivity(triangles):
@@ -296,6 +324,18 @@ class TestMeshClassInvariants:
         assert getattr(m, name) is cached
         with pytest.raises(ValueError):
             cached[0] = 1.0
+
+    def test_non_finite_vertex_direct_construction(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]])
+        with pytest.raises(InvalidParameter, match=r"vertex 2 is not finite: \(0.0, inf\)"):
+            Mesh(verts, np.array([[0, 1, 2]]), np.full(3, OUTER, dtype=np.int8))
+
+    def test_overflowing_area_is_rejected(self):
+        # finite vertices whose cross product overflows: inf - inf = nan
+        verts = np.array([[0.0, 0.0], [2e200, 1e200], [1e200, 2e200]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OrientationError, match="triangle 0 .* signed area nan"):
+            Mesh(verts, np.array([[0, 1, 2]]), np.full(3, OUTER, dtype=np.int8))
 
     def test_singular_element(self):
         # counterclockwise, so the mesh is accepted, but with area 5e-18
