@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assembly, estimator, mesh as meshmod, verify
-from .assembly import IncidentWave, ProblemConfig, check_count
+from .assembly import IncidentWave, ProblemConfig
 from .dtn import DtnSpectrum, build_spectrum, select_truncation, spectrum_table
-from .errors import ElastoDtnError, InvalidParameter
+from .errors import ElastoDtnError, InvalidParameter, check_count
 from .mesh import Mesh, format_rows, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
 
 
@@ -129,8 +129,11 @@ def adaptive_solve(
     The history's stop_reason says why the loop ended: "tolerance", or
     "max_dof" once an optional DoF budget is reached, or "max_iters"
     after config.max_iters solves.  Raises InvalidRadii if the mesh does
-    not fit config.R and config.R_hat.
+    not fit config.R and config.R_hat, and InvalidParameter unless
+    max_dof is None or an integer >= 0.
     """
+    if max_dof is not None:
+        check_count("max_dof", max_dof, 0)
 
     def stop(report, solves):
         if report.eps_h <= config.tolerance:

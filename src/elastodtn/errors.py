@@ -1,4 +1,6 @@
-"""Exception hierarchy for the solver library."""
+"""Exception hierarchy for the solver library, and the shared count check."""
+
+import numbers
 
 
 class ElastoDtnError(Exception):
@@ -75,3 +77,12 @@ class SingularSystem(ElastoDtnError):
 
 class InsufficientData(ElastoDtnError):
     """Not enough points for a least-squares rate fit."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise InvalidParameter unless value is an integer >= least; a bool,
+    a fractional, nan or inf count is refused before any work."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameter(f"{name} must be a finite integer, got {value!r}")
+    if value < least:
+        raise InvalidParameter(f"need {name} >= {least}, got {value}")

@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     SingularElement,
     ThetaOutOfRange,
+    check_count,
 )
 
 INTERIOR, OBSTACLE, OUTER = 0, 1, 2
@@ -246,10 +247,8 @@ def generate_annulus(
     """
     if not (0.0 < R_hat_inner < R):
         raise InvalidRadii(f"need 0 < inner < R, got inner={R_hat_inner}, R={R}")
-    if angular_segments < 8:
-        raise InvalidParameter("angular_segments must be at least 8")
-    if radial_layers < 1:
-        raise InvalidParameter("radial_layers must be at least 1")
+    check_count("angular_segments", angular_segments, 8)
+    check_count("radial_layers", radial_layers, 1)
     ns, nl = angular_segments, radial_layers
     radii = np.linspace(R_hat_inner, R, nl + 1)
     theta = 2.0 * np.pi * np.arange(ns) / ns
@@ -279,6 +278,12 @@ def check_radii(mesh: Mesh, R_hat: float, R: float) -> None:
     must lie in r <= R_hat: the truncation bound eps_N assumes the
     obstacle inside the disk of radius R_hat.
     """
+    if not mesh.outer_radius:
+        raise InvalidRadii(
+            "the mesh has no outer circle (outer_radius 0 means straight outer edges), "
+            f"so the DtN condition on r = R = {R:.12g} cannot be imposed; build it with "
+            "outer_radius=R or read it with load_mesh"
+        )
     if abs(mesh.outer_radius - R) > _CIRCLE_RTOL * R:
         raise InvalidRadii(
             f"the mesh's outer radius {mesh.outer_radius:.12g} differs from R = {R:.12g}"

@@ -70,6 +70,19 @@ BAD_INPUTS = {
     "IncidentWave direction inf": lambda: elastodtn.IncidentWave(direction=(math.inf, 0.0)),
     "mesh.generate_annulus segments": lambda: mesh.generate_annulus(0.5, 1.0, 4, 1),
     "mesh.generate_annulus layers": lambda: mesh.generate_annulus(0.5, 1.0, 16, 0),
+    "mesh.generate_annulus segments fractional": lambda: mesh.generate_annulus(
+        0.5, 1.0, 16.5, 1),
+    "mesh.generate_annulus layers fractional": lambda: mesh.generate_annulus(0.5, 1.0, 16, 1.5),
+    "mesh.generate_annulus segments nan": lambda: mesh.generate_annulus(0.5, 1.0, math.nan, 1),
+    "mesh.generate_annulus layers inf": lambda: mesh.generate_annulus(0.5, 1.0, 16, math.inf),
+    "adaptive_solve max_dof nan": lambda: elastodtn.adaptive_solve(
+        elastodtn.example1_config(), elastodtn.example1_mesh(16, 1), max_dof=math.nan),
+    "adaptive_solve max_dof string": lambda: elastodtn.adaptive_solve(
+        elastodtn.example1_config(), elastodtn.example1_mesh(16, 1), max_dof="100"),
+    "adaptive_solve max_dof bool": lambda: elastodtn.adaptive_solve(
+        elastodtn.example1_config(), elastodtn.example1_mesh(16, 1), max_dof=True),
+    "adaptive_solve max_dof fractional": lambda: elastodtn.adaptive_solve(
+        elastodtn.example1_config(), elastodtn.example1_mesh(16, 1), max_dof=0.5),
     "mesh.mark empty": lambda: mesh.mark(np.array([]), 0.5),
     "mesh.mark negative": lambda: mesh.mark(np.array([-1.0, 1.0]), 0.5),
     "mesh.refine": lambda: mesh.refine(mesh.generate_annulus(0.5, 1.0, 16, 1), [10**6]),

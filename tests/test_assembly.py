@@ -387,6 +387,31 @@ class TestSolve:
         monkeypatch.setattr(assembly.spla, "splu", keep)
         return factors
 
+    def test_one_refinement_step_per_factor(self, monkeypatch):
+        """solve() makes one refinement step on every system, whatever its
+        first residual: two triangular solves per factor, in either form."""
+        factors = self._keep_factors(monkeypatch)
+        keep = assembly.spla.splu
+        solves = []
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, v):
+                solves.append(len(factors))
+                return self.lu.solve(v)
+
+        monkeypatch.setattr(assembly.spla, "splu", lambda *a, **k: Counting(keep(*a, **k)))
+        cfg, mesh = example1_config(N=12), example1_mesh(32, 2)
+        spectrum = build_spectrum(cfg)
+        for form in ("dense", "bordered"):
+            _forced(monkeypatch, form)
+            system = assemble(mesh, cfg, spectrum)
+            assert isinstance(system.matrix, assembly.BorderedMatrix) == (form == "bordered")
+            solve(system)
+        assert solves == [1, 1, 2, 2]
+
     def test_lu_fill_below_colamd(self, monkeypatch):
         """ex1 uniform level 2 (8 192 free DoF): 844 696 stored LU entries
         against 1 893 928 with the default COLAMD ordering."""
@@ -483,6 +508,18 @@ class TestBorderedCoupling:
         system, x_bordered = self._solve(monkeypatch, "bordered", cfg, mesh)
         assert isinstance(system.matrix, assembly.BorderedMatrix)
         assert np.linalg.norm(x_bordered - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+
+    @pytest.mark.parametrize("omega", [math.pi, 8.0 * math.pi, 50.0], ids=["pi", "8pi", "50"])
+    def test_forms_agree_to_rounding_after_refinement(self, monkeypatch, omega):
+        """ex1 level 3 (32 768 free DoF, K/r = 7.2): the two forms give the
+        same solution to a few units of rounding.  The residual alone does
+        not ensure it: at omega = pi the bordered solve starts at a
+        relative residual of 1.1e-14, and its refinement step moves x by
+        5.6e-14."""
+        cfg, mesh = example1_config(omega=omega), _levels(3)
+        _, x_dense = self._solve(monkeypatch, "dense", cfg, mesh)
+        _, x_bordered = self._solve(monkeypatch, "bordered", cfg, mesh)
+        assert np.linalg.norm(x_bordered - x_dense) <= 3e-14 * np.linalg.norm(x_dense)
 
     def test_galerkin_orthogonality_of_a_bordered_solve(self, monkeypatch):
         cfg = example1_config()

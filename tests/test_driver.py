@@ -92,6 +92,14 @@ class TestAdaptiveLoop:
             with pytest.raises(InvalidRadii, match="outer radius 1.25 differs from R = 1"):
                 run()
 
+    def test_mesh_without_outer_circle_is_named(self):
+        """A Mesh built without outer_radius has straight outer edges, which
+        the DtN condition cannot use, even with its vertices on r = R."""
+        m = example1_mesh(16, 1)
+        bare = Mesh(m.vertices, m.triangles, m.vertex_tags)
+        with pytest.raises(InvalidRadii, match="no outer circle .* outer_radius=R .* load_mesh"):
+            adaptive_solve(example1_config(), bare)
+
     def test_shipped_examples_fit_their_radii(self):
         # the disk touches R_hat = 0.5 exactly; the U-shape reaches 2.309 < 2.31
         adaptive_solve(example1_config(tolerance=LOOSEST), example1_mesh(16, 1))
