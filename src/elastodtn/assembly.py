@@ -123,7 +123,6 @@ factor time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -201,10 +200,7 @@ class ProblemConfig:
             raise InvalidParameter("need omega > 0")
         if not (0.0 < self.R_hat < self.R):
             raise InvalidRadii(f"need 0 < R_hat < R, got R_hat={self.R_hat}, R={self.R}")
-        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
-            raise InvalidParameter(f"truncation order N must be an integer, got {self.N!r}")
-        if self.N < 0:
-            raise InvalidParameter("truncation order N must be nonnegative")
+        check_count("truncation order N", self.N, 0)
         if self.N > MAX_ORDER:
             raise OrderCapExceeded(f"order {self.N} exceeds the supported maximum "
                                    f"{MAX_ORDER} of the truncation order N")

@@ -7,8 +7,9 @@ whose indicator exceeds theta times the maximum and repeat.  eps_N stays
 constant across iterations because N and the frozen incident-field norm
 are chosen once on the initial mesh.
 
-`solve` writes history.csv, the final mesh, and one table each of the
-final field, indicators and |u| per triangle, all numbers as %.17g text;
+`solve` writes the final mesh and one table each of the iteration
+history (history.csv), the final field, indicators and |u| per triangle,
+all numbers as %.17g text;
 `spectrum-dump` prints the DtN spectrum, which no run writes.
 """
 
@@ -164,23 +165,17 @@ def uniform_solve(config: ProblemConfig, initial_mesh: Mesh, rounds: int) -> Run
 # -- run artifacts ----------------------------------------------------------
 
 
-def write_history_csv(history: RunHistory, path):
-    """Deterministic iteration log: iter, dof, eps_h, eps_N, e_h."""
-    with open(path, "w") as fh:
-        fh.write("iter,dof,eps_h,eps_N,e_h\n")
-        for r in history.records:
-            e_h = f"{r.e_h:.17g}" if r.e_h is not None else ""
-            fh.write(f"{r.iteration},{r.dof},{r.eps_h:.17g},{r.eps_N:.17g},{e_h}\n")
-
-
 def _write_run_outputs(history: RunHistory, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    write_history_csv(history, os.path.join(out_dir, "history.csv"))
     save_mesh(history.field.mesh, os.path.join(out_dir, "mesh_final.txt"))
     x, y = history.field.mesh.vertices.T
     ux, uy = history.field.values.T
+    recs = history.records
     # file, header, row format after the 0-based row index, columns
     tables = [
+        ("history.csv", "iter,dof,eps_h,eps_N,e_h\n", ",%d,%.17g,%.17g,%s",
+         ([r.dof for r in recs], [r.eps_h for r in recs], [r.eps_N for r in recs],
+          ["" if r.e_h is None else f"{r.e_h:.17g}" for r in recs])),
         ("solution_final.csv", "vertex_index,x,y,re_ux,im_ux,re_uy,im_uy\n",
          ",%.17g" * 6, (x, y, ux.real, ux.imag, uy.real, uy.imag)),
         ("eta_final.csv", "triangle_index,eta\n", ",%.17g", (history.report.eta,)),

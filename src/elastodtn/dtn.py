@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (EmptyBoundary, InvalidParameter, InvalidRadii, OrderCapExceeded,
-                     OverflowRegime)
+                     OverflowRegime, check_count)
 from .mesh import Mesh, format_rows
 from .specfun import MAX_ORDER, ModeScalars, mode_scalar_arrays
 
@@ -245,42 +245,34 @@ def dtn_boundary_form(
 def truncation_error(N: int, R_hat: float, R: float, u_inc_h1: float) -> float:
     """eps_N = max_{|n| >= N} |n| (R_hat/R)^{|n|} * ||u_inc||_{H1}.
 
-    f(n) = n q^n peaks at n = 1/ln(1/q) and decays beyond, so scanning a
-    window past both N and the peak finds the maximum exactly.
+    f(x) = x q^x rises up to x* = 1/ln(1/q) and falls after it, so the
+    maximum over n >= N is f at max(N, floor x*) or at max(N, ceil x*).
     """
+    check_count("truncation order N", N, 0)
     if not (0.0 < R_hat < R):
         raise InvalidRadii(f"need 0 < R_hat < R, got R_hat={R_hat}, R={R}")
-    if u_inc_h1 < 0.0:
-        raise InvalidParameter("u_inc_h1 must be nonnegative")
+    if not (0.0 <= u_inc_h1 < math.inf):
+        raise InvalidParameter(f"u_inc_h1 must be finite and nonnegative, got {u_inc_h1}")
     q = R_hat / R
-    width = int(math.ceil(2.0 / math.log(1.0 / q)))
-    peak = int(math.ceil(1.0 / math.log(1.0 / q)))
-    hi = max(N + width, peak + 1)
-    n = np.arange(max(N, 0), hi + 1, dtype=np.float64)
-    vals = n * q**n
-    return float(vals.max(initial=0.0)) * u_inc_h1
+    peak = -1.0 / math.log(q)
+    n = np.array([max(N, math.floor(peak)), max(N, math.ceil(peak))], dtype=np.float64)
+    return float((n * q**n).max()) * u_inc_h1
 
 
 def select_truncation(
     R_hat: float, R: float, u_inc_h1: float, tolerance: float = 1e-8
 ) -> int:
-    """Smallest N >= 0 with truncation_error(N) <= tolerance.
-
-    Raises OrderCapExceeded when even N = MAX_ORDER (1024) misses the
-    tolerance; truncation_error does not increase with N, so that one
-    evaluation decides it.
-    """
+    """Smallest N in 0..MAX_ORDER (1024) with truncation_error(N) <= tolerance;
+    raises OrderCapExceeded when no such order exists."""
     if not tolerance > 0.0:
         raise InvalidParameter("tolerance must be positive")
-    if truncation_error(MAX_ORDER, R_hat, R, u_inc_h1) > tolerance:
-        raise OrderCapExceeded(
-            f"truncation error above {tolerance:g} for every order up to the "
-            f"supported maximum {MAX_ORDER} (R_hat/R = {R_hat:g}/{R:g})"
-        )
-    N = 0
-    while truncation_error(N, R_hat, R, u_inc_h1) > tolerance:
-        N += 1
-    return N
+    for N in range(MAX_ORDER + 1):
+        if truncation_error(N, R_hat, R, u_inc_h1) <= tolerance:
+            return N
+    raise OrderCapExceeded(
+        f"truncation error above {tolerance:g} for every order up to the "
+        f"supported maximum {MAX_ORDER} (R_hat/R = {R_hat:.12g}/{R:.12g})"
+    )
 
 
 def spectrum_table(spectrum: DtnSpectrum) -> str:

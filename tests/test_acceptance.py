@@ -31,7 +31,7 @@ from elastodtn import (
     truncation_error,
 )
 from elastodtn.assembly import SolutionField, incident_h1
-from elastodtn.driver import write_history_csv
+from elastodtn.driver import _write_run_outputs
 from elastodtn.specfun import bessel_jy
 from elastodtn.verify import exact_boundary_operator_example1, fit_rate
 
@@ -265,9 +265,8 @@ def test_criterion_10_infrastructure(tmp_path):
     paths = []
     for tag in ("a", "b"):
         hist = adaptive_solve(example1_config(tolerance=6.0), example1_mesh(32, 2))
-        p = tmp_path / f"h_{tag}.csv"
-        write_history_csv(hist, p)
-        paths.append(p)
+        _write_run_outputs(hist, tmp_path / tag)
+        paths.append(tmp_path / tag / "history.csv")
     assert paths[0].read_bytes() == paths[1].read_bytes()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -28,6 +28,10 @@ BAD_INPUTS = {
         np.array([0.0, 1.0, 7.0]), np.ones((3, 2)), 1),
     "dtn.trace_l2_sq beyond one turn": lambda: dtn.trace_l2_sq(
         np.array([0.0, 1.0, 7.0]), np.ones((3, 2)), 1.0),
+    "dtn.truncation_error N fractional": lambda: dtn.truncation_error(2.5, 0.5, 1.0, 1.0),
+    "dtn.truncation_error N negative": lambda: dtn.truncation_error(-1, 0.5, 1.0, 1.0),
+    "dtn.truncation_error norm nan": lambda: dtn.truncation_error(4, 0.5, 1.0, math.nan),
+    "dtn.truncation_error norm inf": lambda: dtn.truncation_error(4, 0.5, 1.0, math.inf),
     "specfun.bessel_jy": lambda: specfun.bessel_jy(-1, 1.0),
     "specfun.bessel_jy inf": lambda: specfun.bessel_jy(3, math.inf),
     "specfun.bessel_jy nan": lambda: specfun.bessel_jy(3, math.nan),

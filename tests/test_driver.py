@@ -24,7 +24,7 @@ from elastodtn import (
     uniform_solve,
 )
 from elastodtn import driver, verify
-from elastodtn.driver import _write_run_outputs, cli, load_config_file, write_history_csv
+from elastodtn.driver import _write_run_outputs, cli, load_config_file
 from elastodtn.dtn import spectrum_table
 from elastodtn.errors import InvalidParameter, InvalidRadii, OrderCapExceeded
 from elastodtn.mesh import OBSTACLE, Mesh, generate_annulus, refine_all, save_mesh
@@ -260,9 +260,8 @@ class TestDeterminism:
         paths = []
         for tag in ("a", "b"):
             hist = adaptive_solve(cfg, example1_mesh(32, 2))
-            p = tmp_path / f"history_{tag}.csv"
-            write_history_csv(hist, p)
-            paths.append(p)
+            _write_run_outputs(hist, tmp_path / tag)
+            paths.append(tmp_path / tag / "history.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -337,7 +336,7 @@ class TestCli:
         "flag, value, message",
         [
             ("--omega", "-1", "need omega > 0"),
-            ("--N", "-1", "truncation order N must be nonnegative"),
+            ("--N", "-1", "need truncation order N >= 0, got -1"),
             ("--mu", "0", "need mu > 0 and lam + mu > 0"),
             ("--lambda", "-1", "need mu > 0 and lam + mu > 0"),
         ],
@@ -394,16 +393,20 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags, warning",
         [
-            (["--R-hat", "0.999"], "warning: eps_N = 3.75e+03 > tolerance = 0.01; "
-             "the DtN truncation error depends on N and R_hat/R, not on the mesh\n"),
-            (["--tol", "0.5"], ""),
+            (["--R-hat", "0.999", "--max-dof", "400"], "warning: eps_N = 3.75e+03 > tolerance "
+             "= 0.01; the DtN truncation error depends on N and R_hat/R, not on the mesh\n"),
+            (["--R-hat", "0.999999999999", "--max-dof", "300"], "warning: eps_N = 3.76e+12 > "
+             "tolerance = 0.01; the DtN truncation error depends on N and R_hat/R, not on the "
+             "mesh\n"),
+            (["--tol", "0.5", "--max-dof", "400"], ""),
         ],
-        ids=["R_hat 0.999", "tol 0.5"],
+        ids=["R_hat 0.999", "R_hat 1 - 1e-12", "tol 0.5"],
     )
     def test_truncation_error_above_tolerance_is_a_warning(self, tmp_path, capsys, flags, warning):
         """Refinement cannot bring the estimate below a tolerance that
-        eps_N alone exceeds; the run says so instead of ending silently."""
-        code = cli(["solve", "--example", "1", *flags, "--max-dof", "400", "--out", str(tmp_path)])
+        eps_N alone exceeds; the run says so instead of ending silently.
+        At R_hat/R = 1 - 1e-12 eps_N peaks near order 1e12."""
+        code = cli(["solve", "--example", "1", *flags, "--out", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().err == warning
 

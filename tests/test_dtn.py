@@ -8,6 +8,7 @@ against dense numerical quadrature.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -429,12 +430,41 @@ class TestTruncationError:
         v = truncation_error(0, 0.5, 1.0, 1.0)
         assert v == pytest.approx(max(1 * 0.5, 2 * 0.25))
 
-    def test_brute_force_scan_example2_ratio(self):
-        q = 2.31 / 3.0
-        for N in (5, 40, 80):
-            n = np.arange(N, N + 1001)
-            want = float(np.max(n * q**n))
-            assert truncation_error(N, 2.31, 3.0, 1.0) == pytest.approx(want, rel=1e-14)
+    @staticmethod
+    def window_scan(N, q):
+        """The earlier implementation: n q^n over every order from N to past
+        both N + 2/ln(1/q) and the peak."""
+        width = int(math.ceil(2.0 / math.log(1.0 / q)))
+        peak = int(math.ceil(1.0 / math.log(1.0 / q)))
+        n = np.arange(N, max(N + width, peak + 1) + 1, dtype=np.float64)
+        return float(np.max(n * q**n))
+
+    def test_brute_force_scan_example2_ratio(self, rng):
+        """Bit for bit, on a grid of ratios (example 2's among them) and of
+        orders on both sides of every peak."""
+        qs = [*rng.uniform(0.001, 0.9999, 40), 0.5, 0.77, 2.31 / 3.0, 0.975, 0.976, 1 / math.e]
+        Ns = [*range(40), 97, 200, 1000, 1024]
+        for q in map(float, qs):
+            for N in Ns:
+                assert truncation_error(N, q, 1.0, 1.0) == self.window_scan(N, q), (q, N)
+        for N in (0, 5, 40, 80, 97):
+            want = 8.907 * self.window_scan(N, 2.31 / 3.0)
+            assert truncation_error(N, 2.31, 3.0, 8.907) == want
+
+    def test_ratio_next_to_one(self):
+        """At R_hat/R = 1 - 1e-12 the peak sits near n = 1e12: the value is
+        f there, x*/e, and no order up to the cap meets the tolerance."""
+        q = 0.999999999999
+        peak = -1.0 / math.log(q)
+        t0 = time.process_time()
+        got = truncation_error(0, q, 1.0, 1.0)
+        assert time.process_time() - t0 < 0.05
+        assert got == pytest.approx(peak / math.e, rel=1e-15)
+        assert truncation_error(1024, q, 1.0, 10.21) == pytest.approx(10.21 * got, rel=1e-15)
+        t0 = time.process_time()
+        with pytest.raises(OrderCapExceeded, match=r"\(R_hat/R = 0\.999999999999/1\)"):
+            select_truncation(q, 1.0, 10.21, 1e-8)
+        assert time.process_time() - t0 < 0.05
 
     def test_invalid_radii(self):
         with pytest.raises(InvalidRadii):
