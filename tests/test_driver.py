@@ -336,7 +336,8 @@ class TestCli:
         "flag, value, message",
         [
             ("--omega", "-1", "need omega > 0"),
-            ("--N", "-1", "need truncation order N >= 0, got -1"),
+            pytest.param("--N", "-1", "need truncation order N >= 0, got -1",
+                         id="--N--1-truncation order N must be nonnegative"),
             ("--mu", "0", "need mu > 0 and lam + mu > 0"),
             ("--lambda", "-1", "need mu > 0 and lam + mu > 0"),
         ],
