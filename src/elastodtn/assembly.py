@@ -286,8 +286,15 @@ class LinearSystem:
 
 
 def incident_field(config: ProblemConfig, points) -> np.ndarray:
-    """u_inc at an array of points, complex (n, 2) Cartesian."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    """u_inc at an (n, 2) array of finite points (n = 0 allowed), complex
+    (n, 2) Cartesian.  Raises InvalidParameter for any other shape or a
+    non-finite point."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidParameter(f"points must be an (n, 2) array, got shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise InvalidParameter(f"point {bad[0]} is not finite: {pts[bad[0]].tolist()}")
     if config.incident.kind == "plane":
         d = np.asarray(config.incident.direction, dtype=np.float64)
         d = d / math.hypot(*d)
@@ -297,8 +304,8 @@ def incident_field(config: ProblemConfig, points) -> np.ndarray:
     if np.any(r == 0.0):
         raise OriginEvaluation("hankel0 incident field is singular at the origin")
     k1, k2 = config.kappa1, config.kappa2
-    _, h1_1 = hankel01(k1 * r)
-    _, h1_2 = hankel01(k2 * r)
+    _, h1_1 = hankel01(k1 * r, h1_only=True)
+    _, h1_2 = hankel01(k2 * r, h1_only=True)
     a = k1 * h1_1 / r  # -k1 H_0'(k1 r) / r, as H_0' = -H_1
     b = k2 * h1_2 / r
     out = np.empty((len(pts), 2), dtype=np.complex128)

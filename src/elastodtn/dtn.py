@@ -254,6 +254,8 @@ def truncation_error(N: int, R_hat: float, R: float, u_inc_h1: float) -> float:
     if not (0.0 <= u_inc_h1 < math.inf):
         raise InvalidParameter(f"u_inc_h1 must be finite and nonnegative, got {u_inc_h1}")
     q = R_hat / R
+    if q == 0.0:  # R_hat/R underflowed: n q^n is 0 at every order
+        return 0.0
     peak = -1.0 / math.log(q)
     n = np.array([max(N, math.floor(peak)), max(N, math.ceil(peak))], dtype=np.float64)
     return float((n * q**n).max()) * u_inc_h1

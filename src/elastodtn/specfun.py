@@ -21,7 +21,16 @@ work per point is sized to the arguments of each chunk of points:
   and Neumann's series :math:`Y_0 = \tfrac{2}{\pi}[(\ln(z/2)+\gamma)J_0
   + 2\sum_k (-1)^{k+1} J_{2k}/k]` and its derivative for :math:`Y_1`
   accumulate as the recurrence descends, so the series run to its start
-  order.
+  order.  Each step works in place: the two orders trade buffers and one
+  scratch array takes the products, so a step allocates nothing.
+
+A chunk whose points all lie in one regime goes to its kernel as it is;
+a chunk that straddles z = 25 is split by a mask, each regime sized to
+its own points.  The kernels only read their arguments.  The keyword-only
+switch ``hankel01(z, h1_only=True)`` skips every :math:`H_0` term (the
+:math:`Y_0` series and formula, the :math:`\nu = 0` expansion) and returns
+``(None, H_1)``, :math:`H_1` the same to the bit.  Its one caller is
+``assembly.incident_field``, which reads :math:`H_1` alone.
 
 Against ``scipy.special.hankel1`` the relative error of :math:`H_0` and
 :math:`H_1` is at most 3.1e-15 over :math:`z \in [10^{-10}, 2\cdot 10^3]`,
@@ -288,9 +297,10 @@ def _horner(coefs, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _jy01_asymptotic(z: np.ndarray):
+def _jy01_asymptotic(z: np.ndarray, with_h0: bool):
     """Hankel's expansion (DLMF 10.17.3) for z >= 25, Horner in 1/z^2 with
-    the term count of _hankel_terms(min z).
+    the term count of _hankel_terms(min z): J_nu and Y_nu for nu = 0, 1, or
+    for nu = 1 alone when with_h0 is false.
 
     The phase e^{i(z - nu pi/2 - pi/4)} is split into e^{iz}, from cos z
     and sin z of the argument itself, and a constant factor, so no digits
@@ -299,20 +309,16 @@ def _jy01_asymptotic(z: np.ndarray):
     terms = _hankel_terms(float(z.min()))
     w = 1.0 / z
     w2 = w * w
-    (p0, q0), (p1, q1) = (
-        (_horner(c[0:terms:2], w2), w * _horner(c[1:terms:2], w2)) for c in _HANKEL_COEFS
-    )
     c, s = np.cos(z), np.sin(z)
     amp = 1.0 / np.sqrt(math.pi * z)
-    # e^{-i pi/4} (P0 + iQ0) = (A0 + iB0) / sqrt 2, e^{-3i pi/4} (P1 + iQ1) likewise
-    a0, b0 = p0 + q0, q0 - p0
-    a1, b1 = q1 - p1, -(p1 + q1)
-    return (
-        amp * (c * a0 - s * b0),
-        amp * (c * a1 - s * b1),
-        amp * (s * a0 + c * b0),
-        amp * (s * a1 + c * b1),
-    )
+    out = []
+    for nu in (0, 1) if with_h0 else (1,):
+        coefs = _HANKEL_COEFS[nu]
+        p, q = _horner(coefs[0:terms:2], w2), w * _horner(coefs[1:terms:2], w2)
+        # e^{-i pi/4} (P0 + iQ0) = (A0 + iB0) / sqrt 2, e^{-3i pi/4} (P1 + iQ1) likewise
+        a, b = (p + q, q - p) if nu == 0 else (q - p, -(p + q))
+        out += [amp * (c * a - s * b), amp * (s * a + c * b)]
+    return out
 
 
 def _jy01_start(z_max: float) -> int:
@@ -327,13 +333,15 @@ def _jy01_start(z_max: float) -> int:
     return m + _MILLER_MARGIN
 
 
-def _jy01_miller(z: np.ndarray):
-    """Miller's recurrence without a table, for z < 25.
+def _jy01_miller(z: np.ndarray, with_h0: bool):
+    """Miller's recurrence without a table, for z < 25: J_nu and Y_nu for
+    nu = 0, 1, or for nu = 1 alone when with_h0 is false.
 
-    It starts at _jy01_start(max z).  Only F_n and F_{n+1} are kept; the
-    normalization sum_k F_{2k} and the Neumann series of Y_0 and Y_1
-    accumulate as the recurrence descends, so the series run to the start
-    order.
+    It starts at _jy01_start(max z).  Only F_n and F_{n+1} are kept, in two
+    buffers that trade places at each step; the normalization sum_k F_{2k}
+    and the Neumann series of Y_0 (when with_h0) and Y_1 accumulate in place
+    as the recurrence descends, so the series run to the start order.  z is
+    only read.
     """
     start = _jy01_start(float(z.max()))
     seed = 1e-300
@@ -348,43 +356,58 @@ def _jy01_miller(z: np.ndarray):
     f_hi = np.zeros_like(z)
     f = np.full_like(z, seed)
     even = np.zeros_like(z)  # sum_{k>=1} F_{2k}
-    y0s = np.zeros_like(z)  # sum_{k>=1} (-1)^{k+1} F_{2k} / k
+    y0s = np.zeros_like(z) if with_h0 else None  # sum_{k>=1} (-1)^{k+1} F_{2k} / k
     y1s = np.zeros_like(z)  # sum_{k>=1} (-1)^k (2k+1) / (k(k+1)) F_{2k+1}
+    scaled = [a for a in (f, f_hi, even, y0s, y1s) if a is not None]
+    step = np.empty_like(z)
     for n in range(start, 0, -1):
-        f_hi, f = f, (n * two_over_z) * f - f_hi  # F_{n-1}
+        # F_{n-1} = (2n/z) F_n - F_{n+1}, written over F_{n+1}
+        np.multiply(two_over_z, n, out=step)
+        step *= f
+        np.subtract(step, f_hi, out=f_hi)
+        f_hi, f = f, f_hi
         k, odd = divmod(n - 1, 2)
         if k and not odd:
             even += f
-            y0s += ((1.0 if k % 2 else -1.0) / k) * f
+            if with_h0:
+                y0s += np.multiply(f, (1.0 if k % 2 else -1.0) / k, out=step)
         elif k:
-            y1s += ((-1.0 if k % 2 else 1.0) * (2 * k + 1) / (k * (k + 1))) * f
+            y1s += np.multiply(f, (-1.0 if k % 2 else 1.0) * (2 * k + 1) / (k * (k + 1)),
+                               out=step)
         if may_rescale:
-            big = np.abs(f) > limit
+            big = np.abs(f, out=step) > limit
             if big.any():
                 shift = -np.frexp(f[big])[1]
-                for arr in (f, f_hi, even, y0s, y1s):
+                for arr in scaled:
                     arr[big] = np.ldexp(arr[big], shift)
     norm = f + 2.0 * even
     j0, j1 = f / norm, f_hi / norm
     L = np.log(0.5 * z) + EULER_GAMMA
-    y0 = (2.0 / math.pi) * (L * j0 + 2.0 * y0s / norm)
     # Y_1 = -Y_0' with J_{2k}' = (J_{2k-1} - J_{2k+1}) / 2
     y1 = (2.0 / math.pi) * ((L - 1.0) * j1 - j0 / z - y1s / norm)
-    return j0, j1, y0, y1
+    if not with_h0:
+        return j1, y1
+    y0 = (2.0 / math.pi) * (L * j0 + 2.0 * y0s / norm)
+    return j0, y0, j1, y1
 
 
-def _jy01_into(z: np.ndarray, rows) -> None:
-    """J_0, J_1, Y_0, Y_1 of the 1-D arguments z into the four writable
-    1-D arrays rows, in chunks of _CHUNK points.  Each point comes from the
-    regime of its argument."""
+def _jy01_into(z: np.ndarray, rows, with_h0: bool) -> None:
+    """J_nu and Y_nu of the 1-D arguments z, for nu = 0, 1 or for nu = 1
+    alone, into the writable 1-D arrays rows (in that order), in chunks of
+    _CHUNK points.  Each point comes from the regime of its argument; a
+    chunk whose points share one regime goes to its kernel as it is."""
     for lo in range(0, z.size, _CHUNK):
         part = z[lo : lo + _CHUNK]
         dest = [r[lo : lo + _CHUNK] for r in rows]
         big = part >= _ASYMPTOTIC_SWITCH
-        for mask, kernel in ((big, _jy01_asymptotic), (~big, _jy01_miller)):
-            if mask.any():  # the kernels read min(z) and max(z)
-                for d, v in zip(dest, kernel(part[mask])):
-                    d[mask] = v
+        n_big = np.count_nonzero(big)
+        if n_big in (0, part.size):  # no gather or scatter
+            runs = [(slice(None), _jy01_asymptotic if n_big else _jy01_miller)]
+        else:  # the kernels read min(z) and max(z), so each regime goes apart
+            runs = [(big, _jy01_asymptotic), (~big, _jy01_miller)]
+        for sel, kernel in runs:
+            for d, v in zip(dest, kernel(part[sel], with_h0)):
+                d[sel] = v
 
 
 def _arguments(z) -> np.ndarray:
@@ -397,17 +420,24 @@ def _arguments(z) -> np.ndarray:
     return z
 
 
-def hankel01(z):
+def hankel01(z, *, h1_only: bool = False):
     """Vectorized (H_0, H_1) of the first kind, shaped like z.
 
     The workhorse for field evaluation on point clouds.  Callers that
     need derivatives form them from H_0' = -H_1 and H_1' = H_0 - H_1/z.
     Points go through in chunks of 2^16, so memory stays O(chunk).
     bessel_jy and the Hankel ratio recurrence take their seeds from it.
+
+    With the keyword ``h1_only`` the kernels skip every H_0 term, and the
+    first value returned is None; ``assembly.incident_field``, which reads
+    H_1 alone, sets it.  H_1 is the same to the bit either way.
     """
     z = _arguments(z)
     flat = z.ravel()
-    h0 = np.empty(flat.size, dtype=np.complex128)
     h1 = np.empty(flat.size, dtype=np.complex128)
-    _jy01_into(flat, (h0.real, h1.real, h0.imag, h1.imag))
+    if h1_only:
+        _jy01_into(flat, (h1.real, h1.imag), False)
+        return None, h1.reshape(z.shape)
+    h0 = np.empty(flat.size, dtype=np.complex128)
+    _jy01_into(flat, (h0.real, h0.imag, h1.real, h1.imag), True)
     return h0.reshape(z.shape), h1.reshape(z.shape)

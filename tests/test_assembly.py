@@ -8,6 +8,7 @@ re-verified by a term-by-term evaluation of the variational form.
 
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -106,6 +107,46 @@ class TestIncidentField:
     def test_origin_evaluation(self):
         with pytest.raises(OriginEvaluation):
             incident_field(example1_config(), [(0.0, 0.0)])
+
+    KINDS = [IncidentWave(kind="hankel0"), IncidentWave(kind="plane")]
+
+    @pytest.mark.parametrize("incident", KINDS, ids=lambda w: w.kind)
+    def test_no_points(self, incident):
+        v = incident_field(example1_config(incident=incident), np.empty((0, 2)))
+        assert v.shape == (0, 2) and v.dtype == np.complex128
+
+    @pytest.mark.parametrize("incident", KINDS, ids=lambda w: w.kind)
+    @pytest.mark.parametrize("points", [[], [1.0], [1.0, 0.5], np.ones((4, 3))],
+                             ids=["empty list", "(1,)", "(2,)", "(4, 3)"])
+    def test_malformed_points(self, incident, points):
+        shape = np.shape(points)
+        with pytest.raises(InvalidParameter, match=re.escape(f"got shape {shape}")):
+            incident_field(example1_config(incident=incident), points)
+
+    @pytest.mark.parametrize("incident", KINDS, ids=lambda w: w.kind)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, incident, bad):
+        points = [(1.0, 0.5), (0.25, bad), (bad, 1.0)]
+        with pytest.raises(InvalidParameter, match=r"point 1 is not finite"):
+            incident_field(example1_config(incident=incident), points)
+
+    def test_hankel01_positional_argument_is_z_alone(self, monkeypatch):
+        """perfbench/tracer.py counts points with a hook (out, z) that gets
+        every positional argument of a call, so assembly's calls pass
+        anything beyond z by keyword."""
+        seen, hankel01 = [], assembly.hankel01
+
+        def f(z, **kw):
+            seen.append(np.size(z))
+            return hankel01(z, **kw)
+
+        monkeypatch.setattr(assembly, "hankel01", f)
+        cfg, mesh = example1_config(), example1_mesh(16, 1)
+        incident_field(cfg, mesh.vertices)
+        assemble(mesh, cfg, build_spectrum(cfg))
+        n = len(mesh.vertices)
+        n_obstacle = int(np.count_nonzero(mesh.vertex_tags == OBSTACLE))
+        assert seen == [n, n, n_obstacle, n_obstacle]
 
 
 class TestAssemble:

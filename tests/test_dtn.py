@@ -466,6 +466,13 @@ class TestTruncationError:
             select_truncation(q, 1.0, 10.21, 1e-8)
         assert time.process_time() - t0 < 0.05
 
+    def test_ratio_that_underflows(self):
+        """R_hat/R = 1e-300/1e300 is 0 in doubles, and n q^n is 0 at every
+        order, so eps_N = 0 and the first order, 0, meets any tolerance."""
+        assert truncation_error(0, 1e-300, 1e300, 1.0) == 0.0
+        assert truncation_error(40, 1e-300, 1e300, 8.907) == 0.0
+        assert select_truncation(1e-300, 1e300, 1.0) == 0
+
     def test_invalid_radii(self):
         with pytest.raises(InvalidRadii):
             truncation_error(4, 1.0, 0.5, 1.0)

@@ -306,6 +306,38 @@ class TestJy01Oracles:
         assert peak < 50e6
 
 
+class TestH1Only:
+    """hankel01(z, h1_only=True) skips every H_0 term; its H_1 is
+    hankel01's to the bit on each path through the kernel."""
+
+    CASES = {
+        "Miller chunk": np.geomspace(1e-3, 24.9, 5000),
+        "asymptotic chunk": np.geomspace(25.0, 2e3, 5000),
+        "chunk straddling 25": np.linspace(20.0, 30.0, 5001),
+        "rescale range": np.geomspace(1e-300, 1e-3, 5000),
+        # a mixed chunk of 2^16 points, then an asymptotic one of 3
+        "two chunks": np.linspace(0.01, 60.0, 2**16 + 3),
+    }
+
+    @pytest.mark.parametrize("z", CASES.values(), ids=CASES.keys())
+    def test_h1_is_hankel01s_bit_for_bit(self, z):
+        h0, h1 = hankel01(z, h1_only=True)
+        assert h0 is None
+        assert h1.tobytes() == hankel01(z)[1].tobytes()
+
+    @pytest.mark.parametrize("z", CASES.values(), ids=CASES.keys())
+    def test_arguments_are_only_read(self, z):
+        """A chunk in one regime reaches its kernel as a view of z."""
+        before = z.copy()
+        for h1_only in (False, True):
+            hankel01(z, h1_only=h1_only)
+            assert z.tobytes() == before.tobytes()
+
+    def test_switch_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            hankel01(np.array([1.0]), True)
+
+
 class TestJy01FittedRules:
     """The Miller start follows the largest argument of a call and the
     expansion length the smallest, so each is checked on narrow windows:
