@@ -1,48 +1,41 @@
 # Cylinder-function machinery underneath the DtN operator.
 #
-# Everything the solver needs reduces to Bessel/Hankel evaluations of
-# integer order: moderate arguments (kappa * R is at most a few tens)
-# but orders in the hundreds, far beyond where |Y_n| overflows a double.
-# This walk-through shows the raw values, the Wronskian consistency
-# check, and the two asymptotic facts that make the truncated operator
-# trustworthy.
+# Everything the solver needs reduces to Hankel functions of integer
+# order: moderate arguments (kappa * R is at most a few tens) but orders
+# in the hundreds, far beyond where |Y_n| overflows a double.  This
+# walk-through shows the program's H_0, H_1 kernel against scipy's AMOS
+# routines, and the large-order behaviour of the scattering scalars that
+# makes the truncated operator trustworthy.
 
 import numpy as np
+import scipy.special as sc
 
-from elastodtn import bessel_jy, hankel_ratio_gap, mode_scalar_arrays
+from elastodtn import mode_scalar_arrays
+from elastodtn.specfun import hankel01
 
 np.set_printoptions(precision=6)
 
-# --- values and the Wronskian ---------------------------------------------
-# J_{n+1} Y_n - J_n Y_{n+1} = 2 / (pi z) ties the two kinds together; a
-# broken recurrence shows up here immediately.
+# --- H_0 and H_1 against scipy -----------------------------------------------
+# hankel01 evaluates both orders on a whole array at once: Miller's
+# recurrence below z = 25, Hankel's asymptotic expansion from there on.
 
-z = 3.0
-J, Y = bessel_jy(8, z)  # orders 0..8 from one call
-print("n, J_n(3), Y_n(3):")
-for n in range(5):
-    print(f"  {n}  {J[n]:+.12f}  {Y[n]:+.12f}")
+z = np.array([1e-6, 0.5, 3.0, 24.9, 25.0, 100.0, 1000.0])
+h0, h1 = hankel01(z)
+print("z, H_0(z), relative difference to scipy for H_0 and H_1:")
+for x, a, d0, d1 in zip(z, h0, np.abs(h0 / sc.hankel1(0, z) - 1), np.abs(h1 / sc.hankel1(1, z) - 1)):
+    print(f"  {x:9.3g}  {a:+.6e}  {d0:.1e}  {d1:.1e}")
 
-wronskian = J[1:] * Y[:-1] - J[:-1] * Y[1:]
-print("max |Wronskian - 2/(pi z)| =", np.max(np.abs(wronskian - 2 / (np.pi * z))))
-
-
-# --- derivatives -----------------------------------------------------------
-# H_n' = H_{n-1} - (n/z) H_n needs only the orders at z itself.
-def hankel_ladder(n_max, z):
-    J, Y = bessel_jy(n_max, z)
-    return J + 1j * Y
-
-
-H = hankel_ladder(7, 4.0)
-fd = (hankel_ladder(7, 4.0 + 1e-6)[7] - hankel_ladder(7, 4.0 - 1e-6)[7]) / 2e-6
-print(f"\nH_7'(4.0) = {H[6] - 7 / 4.0 * H[7]:.10f}, finite difference {fd:.10f}")
+wide = np.geomspace(1e-10, 2e3, 100_001)
+worst = max(float(np.max(np.abs(h / sc.hankel1(nu, wide) - 1)))
+            for nu, h in enumerate(hankel01(wide)))
+print(f"largest relative difference over z in [1e-10, 2e3]: {worst:.1e}")
 
 # --- the scattering scalars ------------------------------------------------
 # alpha_jn = kappa_j H_n'(kappa_j r) / H_n(kappa_j r) and
 # Lambda_n = (n/r)^2 - alpha_1n alpha_2n drive every mode matrix.  For
-# large |n|, Lambda_n tends to (kappa_1^2 + kappa_2^2) / 2, which is why
-# high modes contribute a uniformly bounded, rapidly decaying correction.
+# large |n|, Lambda_n tends to (kappa_1^2 + kappa_2^2) / 2 with an error
+# that decays like 1/n, which is why high modes contribute a uniformly
+# bounded, rapidly decaying correction.
 
 k1, k2 = np.pi / 2, np.pi
 target = (k1**2 + k2**2) / 2
@@ -54,15 +47,3 @@ for n, lam in zip(ns, lambda_n):
 
 # Note the order 512 evaluation: |Y_512(pi/2)| ~ 1e1200, yet the ratio
 # arithmetic stays entirely in range.
-
-# --- the ratio gap that controls truncation --------------------------------
-# |H_n(k1 R)/H_n(k1 Rh) - H_n(k2 R)/H_n(k2 Rh)| decays like (Rh/R)^n.
-# This is the quantity whose exponential decay justifies cutting the
-# DtN series at a few dozen modes.
-
-print("\nn, ratio gap, bound k2(k2-k1)(R^2-Rh^2)(Rh/R)^n/(n-1):")
-ns = np.array([30, 60, 90, 120])
-gaps = hankel_ratio_gap(ns, k1, k2, 0.5, 1.0)  # one recurrence per argument
-bounds = k2 * (k2 - k1) * 0.75 * 0.5**ns / (ns - 1)
-for n, g, bound in zip(ns, gaps, bounds):
-    print(f"  {n:4d}  {g:.3e}  {bound:.3e}")

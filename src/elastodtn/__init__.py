@@ -25,15 +25,13 @@ from .driver import (
 from .dtn import (
     DtnSpectrum,
     build_spectrum,
-    dtn_boundary_form,
-    fourier_coefficients,
     select_truncation,
     truncation_error,
 )
 from .estimator import EstimateReport, global_estimate
 from .mesh import Mesh, generate_annulus, load_mesh, mark, refine, refine_all, save_mesh
-from .specfun import bessel_jy, hankel_ratio_gap, mode_scalar_arrays
-from .verify import ConvergenceFit, exact_solution_example1, fit_rate, helmholtz_check
+from .specfun import mode_scalar_arrays
+from .verify import ConvergenceFit, exact_solution_example1, fit_rate
 
 __version__ = "0.1.0"
 
@@ -56,8 +54,6 @@ __all__ = [
     "uniform_solve",
     "DtnSpectrum",
     "build_spectrum",
-    "dtn_boundary_form",
-    "fourier_coefficients",
     "select_truncation",
     "truncation_error",
     "EstimateReport",
@@ -69,11 +65,8 @@ __all__ = [
     "refine",
     "refine_all",
     "save_mesh",
-    "bessel_jy",
-    "hankel_ratio_gap",
     "mode_scalar_arrays",
     "ConvergenceFit",
     "exact_solution_example1",
     "fit_rate",
-    "helmholtz_check",
 ]

@@ -136,6 +136,7 @@ from .errors import (
     InvalidRadii,
     OrderCapExceeded,
     OriginEvaluation,
+    OverflowRegime,
     SingularSystem,
     ThetaOutOfRange,
     check_count,
@@ -150,6 +151,9 @@ _PIVOT_THRESH = 0.01
 # assemble(): the DtN coupling of K outer DOFs through r = 2(2N+1) modal
 # unknowns is bordered when K >= _BORDER_FROM * r, else a dense block
 _BORDER_FROM = 4.0
+# point_radii(): np.linalg.norm squares the coordinates, so its radius is
+# a rounded one only where r^2 is a normal finite double
+_R_MIN, _R_MAX = math.sqrt(np.finfo(np.float64).tiny), math.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -300,18 +304,47 @@ def incident_field(config: ProblemConfig, points) -> np.ndarray:
         d = d / math.hypot(*d)
         phase = np.exp(1j * config.kappa1 * (pts @ d))
         return phase[:, None] * d[None, :]
-    r = np.linalg.norm(pts, axis=1)
-    if np.any(r == 0.0):
-        raise OriginEvaluation("hankel0 incident field is singular at the origin")
+    field = "the hankel0 incident field"
+    r = point_radii(pts, field)
     k1, k2 = config.kappa1, config.kappa2
-    _, h1_1 = hankel01(k1 * r, h1_only=True)
-    _, h1_2 = hankel01(k2 * r, h1_only=True)
-    a = k1 * h1_1 / r  # -k1 H_0'(k1 r) / r, as H_0' = -H_1
-    b = k2 * h1_2 / r
-    out = np.empty((len(pts), 2), dtype=np.complex128)
-    out[:, 0] = a * pts[:, 0] + b * pts[:, 1]
-    out[:, 1] = a * pts[:, 1] - b * pts[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        _, h1_1 = hankel01(k1 * r, h1_only=True)
+        _, h1_2 = hankel01(k2 * r, h1_only=True)
+        a = k1 * h1_1 / r  # -k1 H_0'(k1 r) / r, as H_0' = -H_1
+        b = k2 * h1_2 / r
+        out = np.empty((len(pts), 2), dtype=np.complex128)
+        out[:, 0] = a * pts[:, 0] + b * pts[:, 1]
+        out[:, 1] = a * pts[:, 1] - b * pts[:, 0]
+    check_finite(field, pts, out)
     return out
+
+
+def point_radii(pts: np.ndarray, field: str) -> np.ndarray:
+    """|x| of each point of an (n, 2) array at which field is evaluated.
+    Raises OriginEvaluation at the origin, where the field is singular, and
+    InvalidParameter, naming the point, for a radius outside
+    [1.5e-154, 1.3e154], where r^2 would leave the normal doubles."""
+    with np.errstate(over="ignore"):  # an overflowed radius is refused below
+        r = np.linalg.norm(pts, axis=1)
+    inside = (r >= _R_MIN) & (r <= _R_MAX)  # NaN fails both
+    if not inside.all():
+        i = int(np.argmin(inside))
+        if not pts[i].any():
+            raise OriginEvaluation(f"{field} is singular at the origin (point {i})")
+        raise InvalidParameter(f"{field} is evaluated at radii in [{_R_MIN:.2g}, "
+                               f"{_R_MAX:.2g}], not at point {i} {pts[i].tolist()}")
+    return r
+
+
+def check_finite(field: str, pts: np.ndarray, *arrays) -> None:
+    """Raise OverflowRegime, naming the first point, where any of the arrays
+    (one leading row per point of pts) holds a value that is not finite."""
+    for values in arrays:
+        finite = np.isfinite(values.view(np.float64))  # Re and Im side by side
+        if not finite.all():
+            i = int(np.argmin(finite.reshape(len(pts), -1).all(axis=1)))
+            raise OverflowRegime(f"{field} at point {i} {pts[i].tolist()} is not "
+                                 f"representable in double precision")
 
 
 def incident_h1(config: ProblemConfig, mesh: Mesh) -> float:

@@ -11,9 +11,9 @@ where a_j = alpha_{jn}(R), L = Lambda_n(R) and w the angular frequency.
 Diagonal entries are even in n, off-diagonal odd, and M_21 = -M_12.
 
 Fourier coefficients of finite element traces are computed in closed form
-per boundary arc: the trace is piecewise linear in the angle, and
-``int u(theta) exp(-i n theta) dtheta`` has an elementary antiderivative,
-so no quadrature tolerance enters the operator.  ``outer_mode_basis`` is
+per boundary arc (``mode_weights``): the trace is piecewise linear in the
+angle, and ``int u(theta) exp(-i n theta) dtheta`` has an elementary
+antiderivative, so no quadrature tolerance enters the operator.  ``outer_mode_basis`` is
 the one map from the nodal values on the outer circle to those
 coefficients; assembly's DtN coupling (B^H and M B, in either form),
 the Galerkin residual and the estimator's outer-edge jumps all read it.
@@ -194,52 +194,6 @@ def _outer_mode_basis(mesh: Mesh, ns: np.ndarray):
     dofs.setflags(write=False)
     B.setflags(write=False)
     return dofs, B
-
-
-# Reference functions on a trace given as node angles (strictly increasing
-# in [0, 2pi)) and Cartesian complex values, one row per node.  They rotate
-# to polar components before the transform, so they check outer_mode_basis
-# rather than share its arithmetic.
-
-
-def polar_components(node_angles: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Nodal values rotated to (radial, tangential) components."""
-    c, s = np.cos(node_angles), np.sin(node_angles)
-    vx, vy = values[:, 0], values[:, 1]
-    return np.stack([vx * c + vy * s, -vx * s + vy * c], axis=1)
-
-
-def fourier_coefficients(node_angles: np.ndarray, values: np.ndarray, N: int) -> np.ndarray:
-    """(2N+1, 2) polar-component mode coefficients, mode n at row N + n."""
-    W = mode_weights(node_angles, np.arange(-N, N + 1))
-    return W @ polar_components(node_angles, values)
-
-
-def trace_l2_sq(node_angles: np.ndarray, values: np.ndarray, radius: float) -> float:
-    """Squared circle L2 norm of the piecewise-linear polar interpolant."""
-    p = polar_components(node_angles, values)
-    q = np.roll(p, -1, axis=0)
-    delta = _arcs(np.asarray(node_angles, dtype=np.float64))
-    arc = (
-        np.sum(np.abs(p) ** 2 + np.abs(q) ** 2, axis=1)
-        + np.sum((p * q.conj()).real, axis=1)
-    ) / 3.0
-    return radius * float(np.sum(delta * arc))
-
-
-def dtn_boundary_form(
-    spectrum: DtnSpectrum, node_angles: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> complex:
-    """2 pi R sum_{|n|<=N} (M_n u_n) . conj(v_n) for two traces on the same
-    nodes.
-
-    This is the positive boundary integral; the variational form subtracts
-    it.  Conjugate-linear in the second argument.
-    """
-    N = spectrum.truncation_n
-    cu, cv = (fourier_coefficients(node_angles, t, N) for t in (u, v))
-    total = np.einsum("mab,mb,ma->", spectrum.matrix_stack(), cu, cv.conj())
-    return TWO_PI * spectrum.radius * complex(total)
 
 
 def truncation_error(N: int, R_hat: float, R: float, u_inc_h1: float) -> float:

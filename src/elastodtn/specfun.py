@@ -37,22 +37,15 @@ Against ``scipy.special.hankel1`` the relative error of :math:`H_0` and
 both for one call on the whole range and for calls on narrow windows of
 it, where each window gets its own start and term count.
 
-Higher orders at one argument are computed afresh on every call (results
-never depend on earlier calls), seeded by ``hankel01``:
-
-* ``bessel_jy``: :math:`J_n` by Miller's downward recurrence, started
-  above both n_max and the turning point (``_miller_start``), and
-  :math:`Y_n` by the (upward-stable) forward recurrence from
-  :math:`Y_0, Y_1`, which raises ``OverflowRegime`` at the first order
-  whose :math:`|Y_n|` is not a finite double.
-* ``mode_scalar_arrays`` and ``hankel_ratio_gap``: the ratios
-  :math:`\rho_m = H_{m-1}(z)/H_m(z)` by their own forward recurrence
-  :math:`\rho_{m+1} = 1/(2m/z - \rho_m)`, which is stable because
-  :math:`|H_m(z)|` grows with m (Gautschi, SIAM Review 9, 1967).  Only
-  ratios enter, so the scattering scalars stay finite at mode numbers
-  where :math:`|Y_n|` alone would overflow, and :math:`\Lambda_n` is
-  formed from them without the cancellation of
-  :math:`(n/R)^2 - \alpha_1\alpha_2`.
+Higher orders enter only through the scattering scalars.
+``mode_scalar_arrays`` forms them from the ratios
+:math:`\rho_m = H_{m-1}(z)/H_m(z)`, computed afresh on every call (results
+never depend on earlier calls) by their own forward recurrence
+:math:`\rho_{m+1} = 1/(2m/z - \rho_m)` from a ``hankel01`` seed, which is
+stable because :math:`|H_m(z)|` grows with m (Gautschi, SIAM Review 9,
+1967).  Only ratios enter, so the scalars stay finite at mode numbers
+where :math:`|Y_n|` alone would overflow, and :math:`\Lambda_n` is formed
+from them without the cancellation of :math:`(n/R)^2 - \alpha_1\alpha_2`.
 """
 
 from __future__ import annotations
@@ -99,76 +92,6 @@ class ModeScalars:
     alpha1: complex
     alpha2: complex
     lambda_n: complex
-
-
-def _miller_start(n_hi: int, z: float) -> int:
-    """Start order of Miller's recurrence for J_0..J_{n_hi} at argument z.
-
-    The start order sits above both the requested order and the turning
-    point |z|; below the turning point the backward recurrence no longer
-    separates J from Y and the classical start rule based on the order
-    alone returns garbage.
-    """
-    top = max(n_hi, 1, int(math.ceil(z)) + 44)
-    return top + int(math.ceil(10.0 + 2.0 * math.sqrt(top)))
-
-
-def _miller_j(n_hi: int, z: float) -> np.ndarray:
-    """J_0..J_{n_hi} by downward recurrence with sum normalization."""
-    start = _miller_start(n_hi, z)
-    f = np.zeros(start + 2)
-    f[start] = 1e-300
-    # a step grows |f| at most 1 + 2 start / z times, so one that ends
-    # below limit cannot overflow in the next
-    limit = _RESCALE / (1.0 + 2.0 * start / z)
-    for n in range(start, 0, -1):
-        f[n - 1] = (2.0 * n / z) * f[n] - f[n + 1]
-        if abs(f[n - 1]) > limit:
-            f *= 2.0 ** -math.frexp(f[n - 1])[1]
-    s = f[0] + 2.0 * f[2::2].sum()
-    return f[: n_hi + 1] / s
-
-
-def bessel_jy(n_max: int, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate J_n(z) and Y_n(z) for n = 0..n_max.
-
-    Parameters
-    ----------
-    n_max : int
-        Highest order, 0 <= n_max <= 1024.
-    z : float
-        Argument, 0 < z < inf.
-
-    Returns
-    -------
-    (J, Y) : two float arrays of length n_max + 1, order n at index n
-
-    Raises
-    ------
-    NonPositiveArgument
-        If z <= 0.
-    InvalidParameter
-        If n_max < 0 or z is not finite.
-    OrderCapExceeded
-        If n_max > 1024.
-    OverflowRegime
-        If |Y_n(z)| exceeds the largest finite double before n_max is
-        reached.  The caller must lower the requested order.
-    """
-    if n_max < 0:
-        raise InvalidParameter("n_max must be nonnegative")
-    _check_cap(n_max)
-    h0, h1 = hankel01(np.array([z]))
-    Y = [float(h0[0].imag), float(h1[0].imag)][: n_max + 1]
-    for n in range(1, n_max):
-        y = (2.0 * n / z) * Y[n] - Y[n - 1]
-        if not math.isfinite(y):
-            raise OverflowRegime(
-                f"|Y_{n + 1}({z})| is not representable as a double; "
-                f"reduce the order (requested n_max={n_max})"
-            )
-        Y.append(y)
-    return _miller_j(n_max, z), np.array(Y)
 
 
 def _hankel_ratios(m_max: int, z: float) -> np.ndarray:
@@ -235,30 +158,6 @@ def mode_scalar_arrays(ms, kappa1: float, kappa2: float, radius: float):
             f"the scattering scalars of order {ms[bad[0]]} are not normal doubles "
             f"at kappa1 = {kappa1:g}, kappa2 = {kappa2:g}, radius = {radius:g}")
     return b1 - angular, b2 - angular, lam
-
-
-def hankel_ratio_gap(ns, kappa1: float, kappa2: float, R_hat: float, R: float) -> np.ndarray:
-    """|H_n(k1 R)/H_n(k1 Rh) - H_n(k2 R)/H_n(k2 Rh)| at the integer orders
-    ns >= 0 (a 1-d array, validated as in mode_scalar_arrays), from one
-    ratio recurrence per argument.
-
-    Property-test quantity only: its decay in n is what makes the DtN
-    truncation error exponentially small.
-    """
-    if not (0.0 < R_hat < R):
-        raise InvalidParameter("radii must satisfy 0 < R_hat < R")
-    ns = _orders(ns)
-    if kappa1 == kappa2:
-        return np.zeros(ns.size)
-    top = int(ns.max())
-    ratios = []
-    for kappa in (kappa1, kappa2):
-        # H_n(a)/H_n(b) = [H_0(a)/H_0(b)] prod_{m=1..n} rho_m(b)/rho_m(a)
-        a, b = kappa * R, kappa * R_hat
-        h0 = hankel01(np.array([a, b]))[0]
-        steps = _hankel_ratios(top, b)[1:] / _hankel_ratios(top, a)[1:]
-        ratios.append((h0[0] / h0[1]) * np.concatenate([[1.0], np.cumprod(steps)])[ns])
-    return np.abs(ratios[0] - ratios[1])
 
 
 def _hankel_series(nu: int) -> np.ndarray:
@@ -426,7 +325,7 @@ def hankel01(z, *, h1_only: bool = False):
     The workhorse for field evaluation on point clouds.  Callers that
     need derivatives form them from H_0' = -H_1 and H_1' = H_0 - H_1/z.
     Points go through in chunks of 2^16, so memory stays O(chunk).
-    bessel_jy and the Hankel ratio recurrence take their seeds from it.
+    The Hankel ratio recurrence takes its seed from it.
 
     With the keyword ``h1_only`` the kernels skip every H_0 term, and the
     first value returned is None; ``assembly.incident_field``, which reads

@@ -22,7 +22,6 @@ from elastodtn import (
     generate_annulus,
     global_estimate,
     h1_norm,
-    hankel_ratio_gap,
     mark,
     mode_scalar_arrays,
     refine,
@@ -32,8 +31,9 @@ from elastodtn import (
 )
 from elastodtn.assembly import SolutionField, incident_h1
 from elastodtn.driver import _write_run_outputs
-from elastodtn.specfun import bessel_jy
-from elastodtn.verify import exact_boundary_operator_example1, fit_rate
+from elastodtn.verify import fit_rate
+
+from oracles import bessel_jy, exact_boundary_operator_example1, hankel_ratio_gap
 
 from test_dtn import unsimplified_mode_matrix
 from test_specfun import max_feasible_order

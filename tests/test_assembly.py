@@ -7,6 +7,7 @@ re-verified by a term-by-term evaluation of the variational form.
 """
 
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -42,7 +43,8 @@ from elastodtn.assembly import (
     triangle_magnitudes,
 )
 from elastodtn.dtn import outer_mode_basis
-from elastodtn.errors import InvalidParameter, InvalidRadii, OrderCapExceeded, OriginEvaluation
+from elastodtn.errors import (InvalidParameter, InvalidRadii, OrderCapExceeded, OriginEvaluation,
+                              OverflowRegime)
 from elastodtn.mesh import OBSTACLE, refine, refine_all
 from elastodtn.verify import errors_vs_exact, exact_solution_example1
 
@@ -107,6 +109,22 @@ class TestIncidentField:
     def test_origin_evaluation(self):
         with pytest.raises(OriginEvaluation):
             incident_field(example1_config(), [(0.0, 0.0)])
+
+    @pytest.mark.parametrize("x, error", [
+        (1e155, InvalidParameter),  # r^2 overflows
+        (1e-160, InvalidParameter),  # r^2 is subnormal, and 1/r^2 overflows
+        (1e-170, InvalidParameter),  # r^2 underflows to 0 away from the origin
+        (1e-150, OverflowRegime),  # omega = 1e170: k1 H_1(k1 r) / r overflows
+    ])
+    def test_extreme_points_are_refused_by_name(self, x, error):
+        cfg = example1_config(omega=1e170 if error is OverflowRegime else math.pi)
+        with pytest.raises(error, match=re.escape(f"point 1 {[x, 0.0]}")):
+            incident_field(cfg, [(0.7, 0.0), (x, 0.0)])
+
+    @pytest.mark.parametrize("x", [2e-154, 1e-152, 1e154])
+    def test_radius_range_ends_are_finite(self, x):
+        v = incident_field(example1_config(), [(x, 0.0), (0.0, x)])
+        assert np.isfinite(v).all() and np.abs(v).min() > 0.0
 
     KINDS = [IncidentWave(kind="hankel0"), IncidentWave(kind="plane")]
 
@@ -629,6 +647,49 @@ class TestBorderedCoupling:
             _, n, K, r, _, lu_dense, _, lu_bordered, _, _ = row.split()
             assert (int(n), int(K), int(r)) == (32 * 4**level, 32 * 2**level, 142)
             assert 0 < int(lu_dense) < int(lu_bordered)
+
+
+# solves ex1 at uniform levels 2 (dense coupling) and 3 (bordered) and saves
+# each solution, with its coupling form, to the .npz file named by argv[1]
+_THREAD_CHILD = """
+import sys
+import numpy as np
+from elastodtn import assemble, build_spectrum, example1_config, example1_mesh, refine_all, solve
+from elastodtn.assembly import BorderedMatrix
+cfg, mesh = example1_config(), example1_mesh()
+spectrum, out = build_spectrum(cfg), {}
+for level in (1, 2, 3):
+    mesh = refine_all(mesh)
+    if level >= 2:
+        system = assemble(mesh, cfg, spectrum)
+        out[f"bordered{level}"] = isinstance(system.matrix, BorderedMatrix)
+        out[f"x{level}"] = solve(system).values
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_blas_thread_count_moves_only_the_last_digits(tmp_path):
+    """The dense block's B^H (M B) product and SuperLU's kernels go through
+    OpenBLAS, whose summation order depends on its thread count, so the
+    last digits of a solve do too (byte-identity holds at a fixed count).
+    Solved with 1 and with 2 BLAS/OpenMP threads, each in its own process,
+    the ex1 solutions at levels 2 and 3 agree to 1e-13 relative."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.npz"
+        done = subprocess.run([sys.executable, "-c", _THREAD_CHILD, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(np.load(out))
+    one, two = runs
+    for level, bordered in ((2, False), (3, True)):
+        assert one[f"bordered{level}"] == two[f"bordered{level}"] == bordered
+        x1, x2 = one[f"x{level}"], two[f"x{level}"]
+        assert np.linalg.norm(x1 - x2) <= 1e-13 * np.linalg.norm(x1)
 
 
 class TestFreeDofAssembly:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
@@ -238,6 +239,49 @@ class TestArtifactBytes:
         values = assembly.triangle_magnitudes(field)
         want = "".join(f"{i} {v:.17g}\n" for i, v in enumerate(values))
         assert (written / "magnitude_final.txt").read_text() == want
+
+
+class TestArtifactDiffTool:
+    """tools/artifact_diff.py OLD_ROOT NEW_ROOT on a reduced run table."""
+
+    RUNS = ["--run", "solve --example 1 --max-dof 600", "--run", "solve --example 2 --max-dof 100"]
+    FILES = ["stdout", "eta_final.csv", "history.csv", "magnitude_final.txt", "mesh_final.txt",
+             "solution_final.csv"]
+
+    @staticmethod
+    def diff(old, new, runs, cwd):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), str(old), str(new), *runs],
+            cwd=cwd, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_checkout_matches_itself(self, tmp_path):
+        done = self.diff(ROOT, ROOT, self.RUNS, tmp_path)
+        assert done.returncode == 0, done.stdout + done.stderr
+        threads, *rows, verdict = done.stdout.splitlines()
+        assert threads == "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1"
+        assert verdict == "all identical"
+        assert rows == [line for args in self.RUNS[1::2]
+                        for line in [args] + [f"  {name:<20} identical" for name in self.FILES]]
+
+    def test_a_changed_tree_names_the_moved_column(self, tmp_path):
+        """A copy of src/ whose e_h is 1e-12 larger: only history.csv
+        differs, and only in its e_h column, by about 1e-12."""
+        shutil.copytree(ROOT / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = tmp_path / "src" / "elastodtn" / "verify.py"
+        line = "return math.sqrt(float(np.sum(l2 * areas) + np.sum(h1 * areas)))"
+        assert line in source.read_text()
+        source.write_text(source.read_text().replace(line, line + " * (1.0 + 1e-12)"))
+        done = self.diff(ROOT, tmp_path, self.RUNS[:2], tmp_path)
+        assert done.returncode == 1, done.stdout + done.stderr
+        rows = done.stdout.splitlines()
+        assert rows[-1] == "artifacts differ"
+        history = next(row for row in rows if "history.csv" in row)
+        assert [row for row in rows if "DIFFERENT" in row] == [history]
+        changes = dict(c.split() for c in history.split("(")[1].rstrip(")").split(", "))
+        assert float(changes.pop("e_h")) == pytest.approx(1e-12, rel=0.5)
+        assert changes == {"iter": "0", "dof": "0", "eps_h": "0", "eps_N": "0"}
 
 
 class TestUniformLoop:

@@ -18,7 +18,9 @@ from elastodtn import example1_config, specfun
 from elastodtn.dtn import build_spectrum
 from elastodtn.errors import (ElastoDtnError, InvalidParameter, NonPositiveArgument,
                               OrderCapExceeded, OverflowRegime)
-from elastodtn.specfun import bessel_jy, hankel_ratio_gap, hankel01, mode_scalar_arrays
+from elastodtn.specfun import hankel01, mode_scalar_arrays
+
+from oracles import bessel_jy, hankel_ratio_gap
 
 K1 = math.pi / 2
 K2 = math.pi

@@ -1,20 +1,18 @@
 """The analytic benchmark and its differential/spectral identities."""
 
 import math
+import re
 import types
 
 import numpy as np
 import pytest
 
 from elastodtn import IncidentWave, build_spectrum, example1_config, incident_field
-from elastodtn.errors import InsufficientData, OriginEvaluation
-from elastodtn.verify import (
-    ConvergenceFit,
-    exact_boundary_operator_example1,
-    exact_solution_example1,
-    fit_rate,
-    helmholtz_check,
-)
+from elastodtn.errors import (InsufficientData, InvalidParameter, OriginEvaluation,
+                              OverflowRegime)
+from elastodtn.verify import ConvergenceFit, exact_solution_example1, fit_rate
+
+from oracles import exact_boundary_operator_example1, helmholtz_check
 
 
 def sample_points(rng, n=100, r_lo=0.55, r_hi=0.95):
@@ -47,6 +45,15 @@ class TestExactSolution:
     def test_origin_rejected(self):
         with pytest.raises(OriginEvaluation):
             exact_solution_example1(example1_config(), [(0.0, 0.0)])
+
+    @pytest.mark.parametrize("x, error", [
+        (1e-152, OverflowRegime),  # the Jacobian's 1/r^3 terms overflow
+        (1e-170, InvalidParameter),  # r^2 underflows to 0 away from the origin
+        (1e155, InvalidParameter),  # r^2 overflows
+    ])
+    def test_extreme_points_are_refused_by_name(self, x, error):
+        with pytest.raises(error, match=re.escape(f"point 1 {[x, 0.0]}")):
+            exact_solution_example1(example1_config(), [(0.7, 0.0), (x, 0.0)])
 
     def test_jacobian_against_finite_differences(self, rng):
         cfg = example1_config()
