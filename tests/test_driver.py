@@ -244,27 +244,32 @@ class TestArtifactBytes:
 class TestArtifactDiffTool:
     """tools/artifact_diff.py OLD_ROOT NEW_ROOT on a reduced run table."""
 
-    RUNS = ["--run", "solve --example 1 --max-dof 600", "--run", "solve --example 2 --max-dof 100"]
+    RUNS = ["solve --example 1 --max-dof 600", "solve --example 2 --max-dof 100"]
     FILES = ["stdout", "eta_final.csv", "history.csv", "magnitude_final.txt", "mesh_final.txt",
              "solution_final.csv"]
 
-    @staticmethod
-    def diff(old, new, runs, cwd):
-        return subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), str(old), str(new), *runs],
-            cwd=cwd, capture_output=True, text=True, timeout=300,
-        )
+    @pytest.fixture
+    def diff(self, monkeypatch, capsys):
+        """Run the tool's main in-process over `runs`; return (status, stdout lines)."""
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+        import artifact_diff
 
-    def test_checkout_matches_itself(self, tmp_path):
-        done = self.diff(ROOT, ROOT, self.RUNS, tmp_path)
-        assert done.returncode == 0, done.stdout + done.stderr
-        threads, *rows, verdict = done.stdout.splitlines()
+        def run(old, new, runs):
+            monkeypatch.setattr(artifact_diff, "STANDARD_RUNS", runs)
+            status = artifact_diff.main([str(old), str(new)])
+            return status, capsys.readouterr().out.splitlines()
+        return run
+
+    def test_checkout_matches_itself(self, diff):
+        status, rows = diff(ROOT, ROOT, self.RUNS)
+        assert status == 0, rows
+        threads, *rows, verdict = rows
         assert threads == "OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1"
         assert verdict == "all identical"
-        assert rows == [line for args in self.RUNS[1::2]
+        assert rows == [line for args in self.RUNS
                         for line in [args] + [f"  {name:<20} identical" for name in self.FILES]]
 
-    def test_a_changed_tree_names_the_moved_column(self, tmp_path):
+    def test_a_changed_tree_names_the_moved_column(self, diff, tmp_path):
         """A copy of src/ whose e_h is 1e-12 larger: only history.csv
         differs, and only in its e_h column, by about 1e-12."""
         shutil.copytree(ROOT / "src", tmp_path / "src",
@@ -273,9 +278,8 @@ class TestArtifactDiffTool:
         line = "return math.sqrt(float(np.sum(l2 * areas) + np.sum(h1 * areas)))"
         assert line in source.read_text()
         source.write_text(source.read_text().replace(line, line + " * (1.0 + 1e-12)"))
-        done = self.diff(ROOT, tmp_path, self.RUNS[:2], tmp_path)
-        assert done.returncode == 1, done.stdout + done.stderr
-        rows = done.stdout.splitlines()
+        status, rows = diff(ROOT, tmp_path, self.RUNS[:1])
+        assert status == 1, rows
         assert rows[-1] == "artifacts differ"
         history = next(row for row in rows if "history.csv" in row)
         assert [row for row in rows if "DIFFERENT" in row] == [history]

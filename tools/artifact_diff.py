@@ -1,10 +1,10 @@
 """Compare the run artifacts of two source trees, byte for byte.
 
-Runs each solve of the run table with OLD_ROOT/src and then NEW_ROOT/src
+Runs each solve of STANDARD_RUNS with OLD_ROOT/src and then NEW_ROOT/src
 on PYTHONPATH, in a fresh output directory per tree, and reports for each
 run whether stdout and every output file are byte-identical.  Where
 history.csv differs it also prints the largest relative change of each
-of its columns.  The standard table is the three shipped solves:
+of its columns.  STANDARD_RUNS is the three shipped solves:
 
     solve --example 1 --uniform-rounds 4
     solve --example 1 --max-dof 30000
@@ -17,11 +17,8 @@ and everything matches.
 
 Usage:
     python tools/artifact_diff.py OLD_ROOT NEW_ROOT
-    python tools/artifact_diff.py OLD_ROOT NEW_ROOT --run "solve --example 1 --max-dof 2000"
 
-Each --run replaces the standard table with the given arguments of
-``python -m elastodtn``; repeat it for several runs.  Runs from any
-working directory.
+Runs from any working directory.
 """
 
 import argparse
@@ -105,13 +102,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("old_root", type=pathlib.Path)
     p.add_argument("new_root", type=pathlib.Path)
-    p.add_argument("--run", action="append", dest="runs",
-                   help="arguments of one `python -m elastodtn` run (repeatable)")
     ns = p.parse_args(argv)
     print(" ".join(f"{var}=1" for var in THREAD_VARS))
     ok = True
     with tempfile.TemporaryDirectory(prefix="artifact_diff-") as tmp:
-        for i, args in enumerate(ns.runs or STANDARD_RUNS):
+        for i, args in enumerate(STANDARD_RUNS):
             ok &= compare(ns.old_root.resolve(), ns.new_root.resolve(), args,
                           pathlib.Path(tmp) / f"run{i}")
     print("all identical" if ok else "artifacts differ")
